@@ -1,9 +1,13 @@
 """Command-line front end: dataset generation, runs, sweeps, checks, envelopes.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 divergence (partial traces
-are still written), 3 check violation, 4 I/O or file-format failure. The
-environment variable LOCALGD_THREADS caps sweep parallelism (default: machine
-cores); every cell is internally deterministic either way.
+are still written), 3 check violation, 4 I/O or file-format failure.
+
+A sweep reads and verifies its dataset once, in the parent process, and hands
+every cell the parsed dataset. The environment variable LOCALGD_THREADS caps
+sweep parallelism (default: machine cores; never more workers than cells); a
+value that is not an integer >= 1 is a usage error. Every cell is internally
+deterministic either way.
 """
 
 from __future__ import annotations
@@ -276,8 +280,10 @@ def _summary_doc(args, config, dataset, dataset_path, result, diverged_at, check
     }
 
 
-def _cmd_run(args):
-    dataset = load_dataset(args.dataset)
+def _cmd_run(args, dataset=None):
+    """Run one optimizer; ``dataset`` is the already-loaded ``args.dataset``, if any."""
+    if dataset is None:
+        dataset = load_dataset(args.dataset)
     config = _run_config(args)
     diverged_at = None
     try:
@@ -315,12 +321,25 @@ def _cmd_run(args):
     return EXIT_OK
 
 
-def _sweep_cell(payload):
-    argv, name = payload
-    parser = build_parser()
+# The dataset every cell of the running sweep shares: set by _init_sweep_worker
+# in each pool worker, or around the cells of a serial sweep and cleared after.
+_sweep_dataset = None
+
+
+def _init_sweep_worker(dataset):
+    global _sweep_dataset
+    _sweep_dataset = dataset
+
+
+def _sweep_cell(args):
+    """Run one sweep cell (a `run` Namespace) on the shared dataset; return its index entry."""
+    name = args.name
     try:
-        args = parser.parse_args(argv)
-        code = _cmd_run(args)
+        if args.policy not in POLICIES:
+            # the message argparse gives `run --policy` for the same value
+            raise UsageError(f"argument --policy: invalid choice: {args.policy!r} "
+                             f"(choose from {', '.join(map(repr, POLICIES))})")
+        code = _cmd_run(args, dataset=_sweep_dataset)
         return {"name": name, "exit": code, "csv": name + ".csv", "summary": name + ".json"}
     except UsageError as err:
         return {"name": name, "exit": EXIT_USAGE, "error": str(err)}
@@ -330,37 +349,50 @@ def _sweep_cell(payload):
         return {"name": name, "exit": EXIT_IO, "error": str(err)}
 
 
+def _sweep_workers(n_cells):
+    """Sweep worker count: LOCALGD_THREADS (default: machine cores), at most n_cells."""
+    raw = os.environ.get("LOCALGD_THREADS")
+    if raw is None:
+        return min(os.cpu_count() or 1, n_cells)
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"LOCALGD_THREADS must be an integer >= 1, got {raw!r}")
+    return min(workers, n_cells)
+
+
 def _cmd_sweep(args):
     ks = [int(k) for k in (args.K_grid or str(args.K)).split(",")]
     policies = (args.policy_grid or args.policy).split(",")
     if not ks or not policies:
         raise UsageError("empty sweep grid")
-    cells = []
-    for K in ks:
-        for policy in policies:
-            name = f"cell_K{K}_{policy.replace('-', '_')}"
-            argv = ["run", "--dataset", args.dataset, "--optimizer", args.optimizer,
-                    "--policy", policy, "--R", str(args.R), "--K", str(K),
-                    "--H", str(args.H), "--averaging", args.averaging,
-                    "--gf-substeps", str(args.gf_substeps), "--gf-method", args.gf_method,
-                    "--engine", args.engine, "--trace-every", str(args.trace_every),
-                    "--emit", args.emit, "--out-dir", args.out_dir, "--name", name]
-            for flag, val in (("--eta", args.eta), ("--eta1", args.eta1),
-                              ("--eta2", args.eta2), ("--r0", args.r0),
-                              ("--lambda", args.lam), ("--seed", args.seed),
-                              ("--w0", args.w0)):
-                if val is not None:
-                    argv += [flag, str(val)]
-            if args.checks:
-                argv += ["--checks", args.checks]
-            cells.append((argv, name))
+    cells = [
+        argparse.Namespace(**{**vars(args), "command": "run", "K": K, "policy": policy,
+                              "name": f"cell_K{K}_{policy.replace('-', '_')}"})
+        for K in ks for policy in policies
+    ]
+    workers = _sweep_workers(len(cells))
     os.makedirs(args.out_dir, exist_ok=True)
-    workers = int(os.environ.get("LOCALGD_THREADS", os.cpu_count() or 1))
-    if workers > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+    try:
+        dataset = load_dataset(args.dataset)
+    except (OSError, ValueError) as err:
+        results = [{"name": c.name, "exit": EXIT_IO, "error": str(err)} for c in cells]
     else:
-        results = [_sweep_cell(c) for c in cells]
+        if workers > 1:
+            # under fork the workers inherit the dataset; other start methods
+            # pickle it once per worker, not once per cell
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_sweep_worker, initargs=(dataset,)
+            ) as pool:
+                results = list(pool.map(_sweep_cell, cells))
+        else:
+            _init_sweep_worker(dataset)
+            try:
+                results = [_sweep_cell(c) for c in cells]
+            finally:
+                _init_sweep_worker(None)
     index = {
         "artifact": {"name": "localgd", "version": __version__},
         "dataset": args.dataset,
@@ -487,7 +519,8 @@ def _apply_config_file(parser, argv):
     out = list(argv)
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in argv and value is not None:
+        given = any(a == flag or a.startswith(flag + "=") for a in argv)
+        if not given and value is not None:
             out += [flag, str(value)]
     return out
 

@@ -370,15 +370,28 @@ def save_dataset(ds: FederatedDataset, path, extra=None):
 
 
 def load_dataset(path) -> FederatedDataset:
-    """Read a dataset snapshot written by save_dataset, verifying its format."""
+    """Read a dataset snapshot written by save_dataset, verifying its format.
+
+    A file that parses as JSON but is not a well-formed snapshot (wrong format
+    or version, missing keys, rows that are not ``d`` long, a fingerprint that
+    does not match the payload) raises IdxFormatError.
+    """
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format") != DATASET_FORMAT or doc.get("version") != DATASET_VERSION:
-        raise ValueError(f"{path}: not a version-{DATASET_VERSION} dataset file")
-    clients = [np.array(Z, dtype=np.float64).reshape(len(Z), doc["d"]) for Z in doc["clients"]]
-    ds = FederatedDataset(clients=clients, d=int(doc["d"]))
-    if doc.get("margin"):
-        ds.margin = (float(doc["margin"]["gamma"]), np.array(doc["margin"]["w_star"]))
+    if (not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT
+            or doc.get("version") != DATASET_VERSION):
+        raise IdxFormatError(f"{path}: not a version-{DATASET_VERSION} dataset file")
+    try:
+        d = int(doc["d"])
+        if d < 1:
+            raise ValueError(f"d = {d}")
+        clients = [np.array(Z, dtype=np.float64).reshape(len(Z), d) for Z in doc["clients"]]
+        margin = None
+        if doc.get("margin"):
+            margin = (float(doc["margin"]["gamma"]), np.array(doc["margin"]["w_star"]))
+    except (KeyError, TypeError, ValueError) as err:
+        raise IdxFormatError(f"{path}: malformed dataset file ({type(err).__name__}: {err})") from None
+    ds = FederatedDataset(clients=clients, d=d, margin=margin)
     if "fingerprint" in doc and ds.fingerprint() != doc["fingerprint"]:
-        raise ValueError(f"{path}: fingerprint mismatch; file was modified")
+        raise IdxFormatError(f"{path}: fingerprint mismatch; file was modified")
     return ds

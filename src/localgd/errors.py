@@ -34,7 +34,8 @@ class SeparabilityError(LocalGDError, ValueError):
 
 
 class IdxFormatError(LocalGDError, ValueError):
-    """An IDX file is malformed; the message names the offending byte offset."""
+    """An input file is malformed: an IDX file (the message names the offending
+    byte offset), a dataset snapshot or a run summary."""
 
 
 class DomainError(LocalGDError, ValueError):

@@ -184,6 +184,66 @@ class TestSweep:
                          "--K-grid", "x", "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cells_match_standalone_run(self, synthetic_file, tmp_path, monkeypatch, capsys,
+                                        threads):
+        monkeypatch.setenv("LOCALGD_THREADS", threads)
+        flags = ["--dataset", str(synthetic_file), "--optimizer", "local-gd", "--R", "12",
+                 "--H", "0.3", "--seed", "5", "--checks", "drift,bias"]
+        code = cli.main(["sweep", *flags, "--K-grid", "1,4", "--policy-grid", "small,large,bogus",
+                         "--out-dir", str(tmp_path / "sweep")])
+        assert code == cli.EXIT_USAGE
+        cells = {c["name"]: c for c in json.loads((tmp_path / "sweep/index.json").read_text())["cells"]}
+        assert len(cells) == 6
+        capsys.readouterr()
+        assert cli.main(["run", *flags, "--policy", "bogus", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        run_error = capsys.readouterr().err
+        for K in (1, 4):
+            bogus = cells[f"cell_K{K}_bogus"]
+            assert bogus["exit"] == cli.EXIT_USAGE
+            assert run_error == f"usage error: {bogus['error']}\n"
+            for policy in ("small", "large"):
+                name = f"cell_K{K}_{policy}"
+                assert cells[name]["exit"] == 0
+                assert cli.main(["run", *flags, "--K", str(K), "--policy", policy,
+                                 "--out-dir", str(tmp_path / "run"), "--name", name]) == 0
+                for ext in (".csv", ".json"):
+                    assert ((tmp_path / "sweep" / (name + ext)).read_bytes()
+                            == (tmp_path / "run" / (name + ext)).read_bytes())
+
+    def test_serial_sweep_loads_dataset_once(self, synthetic_file, tmp_path, monkeypatch):
+        calls = []
+        load = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset", lambda path: calls.append(path) or load(path))
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        code = cli.main(["sweep", "--dataset", str(synthetic_file), "--optimizer", "local-gd",
+                         "--K-grid", "1,2,4", "--policy-grid", "small,large", "--R", "5",
+                         "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert calls == [str(synthetic_file)]
+        assert cli._sweep_dataset is None
+
+    def test_worker_count(self, synthetic_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("LOCALGD_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli._sweep_workers(3) == 3
+        assert cli._sweep_workers(12) == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._sweep_workers(4) == 1
+        for value, cells, expected in (("1", 4, 1), ("2", 4, 2), ("6", 4, 4), (" 3 ", 5, 3)):
+            monkeypatch.setenv("LOCALGD_THREADS", value)
+            assert cli._sweep_workers(cells) == expected
+        for bad in ("abc", "0", "-2", "", "1.5"):
+            monkeypatch.setenv("LOCALGD_THREADS", bad)
+            with pytest.raises(cli.UsageError, match="LOCALGD_THREADS"):
+                cli._sweep_workers(4)
+        # a bad value stops the sweep before any cell runs
+        code = cli.main(["sweep", "--dataset", str(synthetic_file), "--eta", "1", "--R", "3",
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "LOCALGD_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cell_failures_are_isolated(self, synthetic_file, tmp_path):
         # the two-stage policy cell cannot drive the local-gd optimizer; its
         # failure must not stop the small-policy cells
@@ -254,6 +314,24 @@ class TestExitCodes:
                          "--eta", "1", "--R", "3", "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_IO
 
+    def test_malformed_dataset_is_format_error(self, synthetic_file, tmp_path, monkeypatch):
+        doc = json.loads(synthetic_file.read_text())
+        no_d = tmp_path / "no_d.json"
+        no_d.write_text(json.dumps({k: v for k, v in doc.items() if k != "d"}))
+        wrong_format = tmp_path / "wrong_format.json"
+        wrong_format.write_text(json.dumps(dict(doc, format="other-dataset")))
+        for path in (no_d, wrong_format):
+            code = cli.main(["run", "--dataset", str(path), "--eta", "1", "--R", "3",
+                             "--out-dir", str(tmp_path / "run")])
+            assert code == cli.EXIT_IO
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        code = cli.main(["sweep", "--dataset", str(no_d), "--eta", "1", "--R", "3",
+                         "--K-grid", "1,2", "--out-dir", str(tmp_path / "sweep")])
+        assert code == cli.EXIT_IO
+        cells = json.loads((tmp_path / "sweep/index.json").read_text())["cells"]
+        assert [c["exit"] for c in cells] == [cli.EXIT_IO] * 2
+        assert all(str(no_d) in c["error"] for c in cells)
+
     def test_envelope_command(self, capsys):
         assert cli.main(["envelope", "--kind", "two-stage", "--gamma", "0.5",
                          "--K", "8", "--R", "100", "--r0", "10", "--eta2", "1"]) == 0
@@ -273,3 +351,12 @@ class TestExitCodes:
                          "--name", "fromcfg"])
         assert code == 0
         assert (tmp_path / "fromcfg.csv").exists()
+
+    def test_command_line_beats_config_in_equals_form(self, synthetic_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"R": 10, "K": 2, "eta": 0.5}))
+        code = cli.main(["run", "--dataset", str(synthetic_file), "--R=3", "--config", str(cfg),
+                         "--out-dir", str(tmp_path), "--name", "eq"])
+        assert code == 0
+        rows = (tmp_path / "eq.csv").read_text().strip().split("\n")[2:]
+        assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -328,4 +329,30 @@ class TestSerialization:
             load_dataset(path)
         path.write_text("{not json")
         with pytest.raises(json.JSONDecodeError):
+            load_dataset(path)
+
+    MALFORMED = {
+        "no-d": lambda doc: doc.pop("d"),
+        "no-clients": lambda doc: doc.pop("clients"),
+        "no-format": lambda doc: doc.pop("format"),
+        "wrong-format": lambda doc: doc.update(format="other-dataset"),
+        "wrong-version": lambda doc: doc.update(version=2),
+        "row-too-long": lambda doc: doc["clients"][0][0].append(0.0),
+        "wrong-d": lambda doc: doc.update(d=3),
+        "negative-d": lambda doc: doc.update(d=-1),
+        "no-gamma": lambda doc: doc["margin"].pop("gamma"),
+        "ragged-rows": lambda doc: doc["clients"][1].append([0.5]),
+        "fingerprint": lambda doc: doc["clients"][0][0].__setitem__(0, 0.25),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_format_error(self, tmp_path, case):
+        ds = gen_synthetic(SyntheticSpec(delta=1.0, g=1))
+        compute_margin(ds)
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path)
+        doc = json.loads(path.read_text())
+        self.MALFORMED[case](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IdxFormatError, match=re.escape(str(path))):
             load_dataset(path)
