@@ -1,7 +1,8 @@
 """Command-line front end: dataset generation, runs, sweeps, checks, envelopes.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 divergence (partial traces
-are still written), 3 check violation, 4 I/O or file-format failure.
+are still written), 3 check violation, 4 I/O or file-format failure. A sweep
+cell records the code `run` would return with the same flags.
 
 A sweep reads and verifies its dataset once, in the parent process, and hands
 every cell the parsed dataset. The environment variable LOCALGD_THREADS caps
@@ -22,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, diagnostics, optim, schedules
+from . import __version__, diagnostics, optim, schedules, specialfn
 from .data import (
     PartitionSpec,
     SyntheticSpec,
@@ -33,12 +34,7 @@ from .data import (
     partition_heterogeneous,
     save_dataset,
 )
-from .errors import (
-    DivergenceError,
-    IdxFormatError,
-    LocalGDError,
-    SeparabilityError,
-)
+from .errors import DivergenceError, IdxFormatError
 from .optim import RoundTrace, RunConfig
 
 EXIT_OK = 0
@@ -55,9 +51,47 @@ class UsageError(Exception):
     pass
 
 
+# Exception -> exit code for `main` and for each sweep cell; the first matching
+# entry wins (JSONDecodeError and IdxFormatError are ValueErrors too).
+EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    DivergenceError: EXIT_DIVERGENCE,
+    OSError: EXIT_IO,
+    json.JSONDecodeError: EXIT_IO,
+    IdxFormatError: EXIT_IO,
+    ValueError: EXIT_USAGE,
+}
+
+
+def _exit_code(err):
+    return next(code for cls, code in EXIT_CODES.items() if isinstance(err, cls))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _check_names(text):
+    """--checks value: the listed check names, all known (None when empty)."""
+    if not text:
+        return None
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    unknown = [n for n in names if n not in diagnostics.RUN_CHECKS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown check(s) {', '.join(unknown)}; "
+            f"available: {', '.join(diagnostics.RUN_CHECKS)}"
+        )
+    return names
+
+
+def _int_list(text):
+    """--K-grid value: comma-separated integers."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _fmt(x):
@@ -114,7 +148,8 @@ def _add_run_flags(p):
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--w0", help="comma-separated initial weights (default: zeros)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--checks", help="comma-separated check names to run afterwards")
+    p.add_argument("--checks", type=_check_names,
+                   help="comma-separated check names to run afterwards")
     p.add_argument("--emit", default="csv,json", help="artifacts to write (csv,json)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--name", default="run", help="basename for output files")
@@ -147,13 +182,15 @@ def build_parser():
 
     sweep = sub.add_parser("sweep", help="run a (K x policy) grid")
     _add_run_flags(sweep)
-    sweep.add_argument("--K-grid", help="comma-separated K values (overrides --K)")
+    sweep.add_argument("--K-grid", type=_int_list,
+                       help="comma-separated K values (overrides --K)")
     sweep.add_argument("--policy-grid", help="comma-separated policies (overrides --policy)")
 
     chk = sub.add_parser("check", help="re-verify analysis checks on run artifacts")
     chk.add_argument("--run", required=True, help="summary JSON written by `run`")
     chk.add_argument("--dataset", required=True)
-    chk.add_argument("--checks", help="comma-separated check names (default: all applicable)")
+    chk.add_argument("--checks", type=_check_names,
+                     help="comma-separated check names (default: all applicable)")
     chk.add_argument("--out", help="write the report JSON here instead of stdout")
 
     env = sub.add_parser("envelope", help="evaluate a closed-form rate envelope")
@@ -212,16 +249,14 @@ def _run_config(args):
     )
 
 
-def _execute(dataset, args):
-    config = _run_config(args)
-    if args.optimizer == "local-gd":
-        return optim.run_local_gd(dataset, config)
-    if args.optimizer == "two-stage":
-        return optim.run_two_stage(dataset, config)
-    return optim.run_local_gf(dataset, config)
+def _flow_constants(dataset, etaK):
+    """TheoryConstants of a two-client flow run, and the dict of them that is printed."""
+    gammas, U = optim._margin_geometry(dataset)
+    tc = specialfn.theory_constants(specialfn.make_gf_state(gammas, U, etaK), etaK)
+    return tc, {k: getattr(tc, k) for k in ("L0", "H0", "nu", "tau", "tau0", "tau1", "c")}
 
 
-def _envelope_block(dataset, args, config, result):
+def _envelope_block(dataset, args, config):
     """Envelope values relevant to this run; entries are None when inapplicable."""
     out = {}
     gamma = dataset.margin[0] if dataset.margin else None
@@ -238,15 +273,7 @@ def _envelope_block(dataset, args, config, result):
     if args.optimizer == "local-gf" and dataset.M == 2 and all(
         Z.shape[0] == 1 for Z in dataset.clients
     ):
-        from . import specialfn
-
-        gammas, U = optim._margin_geometry(dataset)
-        state = specialfn.make_gf_state(gammas, U, config.eta * config.K)
-        tc = specialfn.theory_constants(state, config.eta * config.K)
-        out["gf_constants"] = {
-            "L0": tc.L0, "H0": tc.H0, "nu": tc.nu, "tau": tc.tau,
-            "tau0": tc.tau0, "tau1": tc.tau1, "c": tc.c,
-        }
+        tc, out["gf_constants"] = _flow_constants(dataset, config.eta * config.K)
         if math.isfinite(tc.tau) and config.R > tc.tau:
             out["gf_final"] = tc.envelope(config.R, "main")
     return out
@@ -274,7 +301,7 @@ def _summary_doc(args, config, dataset, dataset_path, result, diverged_at, check
             "final_loss": result.traces[-1].global_loss if result.traces else None,
             "final_grad_norm": result.traces[-1].grad_norm if result.traces else None,
         },
-        "envelopes": _envelope_block(dataset, args, config, result) if diverged_at is None else {},
+        "envelopes": _envelope_block(dataset, args, config) if diverged_at is None else {},
         "checks": [r.to_dict() for r in checks],
         "traces": [asdict(t) for t in result.traces],
     }
@@ -287,7 +314,12 @@ def _cmd_run(args, dataset=None):
     config = _run_config(args)
     diverged_at = None
     try:
-        result = _execute(dataset, args)
+        if args.optimizer == "local-gd":
+            result = optim.run_local_gd(dataset, config)
+        elif args.optimizer == "two-stage":
+            result = optim.run_two_stage(dataset, config)
+        else:
+            result = optim.run_local_gf(dataset, config)
     except DivergenceError as err:
         diverged_at = err.round_index
         result = optim.RunResult(
@@ -301,8 +333,7 @@ def _cmd_run(args, dataset=None):
         )
     checks = []
     if args.checks and diverged_at is None:
-        names = [c.strip() for c in args.checks.split(",") if c.strip()]
-        checks = diagnostics.check_run(result, dataset, checks=names)
+        checks = diagnostics.check_run(result, dataset, checks=args.checks)
 
     os.makedirs(args.out_dir, exist_ok=True)
     emit = {e.strip() for e in args.emit.split(",")}
@@ -341,12 +372,8 @@ def _sweep_cell(args):
                              f"(choose from {', '.join(map(repr, POLICIES))})")
         code = _cmd_run(args, dataset=_sweep_dataset)
         return {"name": name, "exit": code, "csv": name + ".csv", "summary": name + ".json"}
-    except UsageError as err:
-        return {"name": name, "exit": EXIT_USAGE, "error": str(err)}
-    except DivergenceError as err:
-        return {"name": name, "exit": EXIT_DIVERGENCE, "error": str(err)}
-    except (LocalGDError, ValueError, OSError) as err:
-        return {"name": name, "exit": EXIT_IO, "error": str(err)}
+    except tuple(EXIT_CODES) as err:
+        return {"name": name, "exit": _exit_code(err), "error": str(err)}
 
 
 def _sweep_workers(n_cells):
@@ -364,10 +391,8 @@ def _sweep_workers(n_cells):
 
 
 def _cmd_sweep(args):
-    ks = [int(k) for k in (args.K_grid or str(args.K)).split(",")]
+    ks = args.K_grid or [args.K]
     policies = (args.policy_grid or args.policy).split(",")
-    if not ks or not policies:
-        raise UsageError("empty sweep grid")
     cells = [
         argparse.Namespace(**{**vars(args), "command": "run", "K": K, "policy": policy,
                               "name": f"cell_K{K}_{policy.replace('-', '_')}"})
@@ -450,16 +475,7 @@ def _load_run_artifacts(path):
 def _cmd_check(args):
     result = _load_run_artifacts(args.run)
     dataset = load_dataset(args.dataset)
-    names = None
-    if args.checks:
-        names = [c.strip() for c in args.checks.split(",") if c.strip()]
-        unknown = [n for n in names if n not in diagnostics.RUN_CHECKS]
-        if unknown:
-            raise UsageError(
-                f"unknown check(s) {', '.join(unknown)}; "
-                f"available: {', '.join(diagnostics.RUN_CHECKS)}"
-            )
-    reports = diagnostics.check_run(result, dataset, checks=names)
+    reports = diagnostics.check_run(result, dataset, checks=args.checks)
     doc = {
         "artifact": {"name": "localgd", "version": __version__},
         "run": str(args.run),
@@ -491,22 +507,17 @@ def _cmd_envelope(args):
     else:
         if args.dataset is None or args.eta is None or args.K is None or args.r is None:
             raise UsageError("envelope --kind gf needs --dataset, --eta, --K and --r")
-        dataset = load_dataset(args.dataset)
-        from . import specialfn
-
-        gammas, U = optim._margin_geometry(dataset)
-        etaK = args.eta * args.K
-        state = specialfn.make_gf_state(gammas, U, etaK)
-        tc = specialfn.theory_constants(state, etaK)
+        tc, constants = _flow_constants(load_dataset(args.dataset), args.eta * args.K)
         value = tc.envelope(args.r, variant=args.variant)
         doc = {"kind": args.kind, "variant": args.variant, "value": value,
-               "constants": {"L0": tc.L0, "H0": tc.H0, "nu": tc.nu,
-                             "tau": tc.tau, "tau0": tc.tau0, "tau1": tc.tau1}}
+               "constants": constants}
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(argv):
+    # split --config=path so that both forms are found below
+    argv = [p for a in argv for p in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -530,7 +541,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         if argv and argv[0] in ("run", "sweep"):
-            argv = _apply_config_file(parser, argv)
+            argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         if args.command == "gen-data":
             return _cmd_gen_data(args)
@@ -541,18 +552,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_envelope(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (OSError, json.JSONDecodeError, IdxFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except (SeparabilityError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(EXIT_CODES) as err:
+        prefix = "usage error" if isinstance(err, UsageError) else "error"
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return _exit_code(err)
 
 
 if __name__ == "__main__":

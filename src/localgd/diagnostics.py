@@ -10,6 +10,7 @@ norms, which come out of an iterative solver, use 1e-8 relative.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import losses
 from .data import compute_margin
 from .errors import MissingTraceDataError
+from .schedules import _pos_log
 from .specialfn import TheoryConstants, theory_constants  # re-exported  # noqa: F401
 
 __all__ = [
@@ -158,18 +160,30 @@ def _check_bias(run, dataset):
     return report
 
 
-def _stages(run):
+def _stable_stretches(run, dataset, gamma, report):
+    """Per stage, the traces from its stable-region entry on, the entry first.
+
+    The entry is the stage's first trace with eta <= 4 and
+    F <= gamma^2 / (42 * eta * K * M); each trace before it counts as not
+    applicable in ``report``. A stage that never enters yields nothing.
+    """
+    K = run.config.K
+    M = dataset.M
     by_stage: dict[int, list] = {}
     for t in run.traces:
         by_stage.setdefault(t.stage, []).append(t)
-    return by_stage
+    for stage_traces in by_stage.values():
+        for i, t in enumerate(stage_traces):
+            if t.eta_used <= 4.0 and t.global_loss <= gamma**2 / (42.0 * t.eta_used * K * M):
+                yield stage_traces[i:]
+                break
+            report.na_count += 1
 
 
 def _check_stable_rate(run, dataset, strict=False):
     """Loss envelope after a constant-stepsize stretch enters the stable region.
 
-    The entry round is the first traced round of a stage where eta <= 4 and
-    F <= gamma^2 / (42 * eta * K * M); afterwards the loss must satisfy
+    After a stage's entry round (see _stable_stretches) the loss must satisfy
     F(round r) <= 4 / (eta * gamma^2 * K * (r - entry)). The strict variant
     checks the factor-2 form and is informational.
     """
@@ -177,19 +191,9 @@ def _check_stable_rate(run, dataset, strict=False):
     report = CheckReport(name=name, informational=strict)
     gamma, _ = compute_margin(dataset)
     K = run.config.K
-    M = dataset.M
     factor = 2.0 if strict else 4.0
-    for stage_traces in _stages(run).values():
-        entry = None
-        for t in stage_traces:
-            if entry is None:
-                if t.eta_used <= 4.0 and t.global_loss <= gamma**2 / (
-                    42.0 * t.eta_used * K * M
-                ):
-                    entry = t
-                else:
-                    report.na_count += 1
-                continue
+    for entry, *rest in _stable_stretches(run, dataset, gamma, report):
+        for t in rest:
             bound = factor / (entry.eta_used * gamma**2 * K * (t.r - entry.r))
             report.record(t.r, t.global_loss, bound)
     return report
@@ -199,21 +203,9 @@ def _check_stable_monotone(run, dataset):
     """Loss is non-increasing once a stage has entered the stable region."""
     report = CheckReport(name="stable-monotone", tolerance=MONOTONE_TOL)
     gamma, _ = compute_margin(dataset)
-    K = run.config.K
-    M = dataset.M
-    for stage_traces in _stages(run).values():
-        prev = None
-        for t in stage_traces:
-            if prev is None:
-                if t.eta_used <= 4.0 and t.global_loss <= gamma**2 / (
-                    42.0 * t.eta_used * K * M
-                ):
-                    prev = t
-                else:
-                    report.na_count += 1
-                continue
+    for stretch in _stable_stretches(run, dataset, gamma, report):
+        for prev, t in zip(stretch, stretch[1:]):
             report.record(t.r, t.global_loss, prev.global_loss)
-            prev = t
     return report
 
 
@@ -264,34 +256,31 @@ def _check_lyapunov_rate(run, dataset):
     return report
 
 
+@dataclass(frozen=True)
+class RunCheck:
+    """A registered trajectory check.
+
+    ``needs`` names the trace field the check reads (None: always
+    applicable); ``discrete_only`` keeps automatic selection from running it on
+    flow runs, since it is a claim about discrete local steps (flow runs can
+    still request it explicitly).
+    """
+
+    fn: Callable
+    needs: str | None = None
+    discrete_only: bool = False
+
+    def has_data(self, run):
+        return self.needs is None or any(getattr(t, self.needs) is not None for t in run.traces)
+
+
 RUN_CHECKS = {
-    "drift": _check_drift,
-    "bias": _check_bias,
-    "stable-rate": _check_stable_rate,
-    "stable-monotone": _check_stable_monotone,
-    "lyapunov": _check_lyapunov,
-    "lyapunov-rate": _check_lyapunov_rate,
-}
-
-
-def _is_discrete(run):
-    # the stable-phase rate is a claim about discrete local steps; flow runs
-    # can still request it explicitly
-    return getattr(run, "optimizer", "local-gd") != "local-gf"
-
-
-_CHECK_NEEDS = {
-    "drift": lambda run: any(t.drift is not None for t in run.traces),
-    "bias": lambda run: any(t.bias is not None for t in run.traces),
-    "stable-rate": lambda run: True,
-    "stable-monotone": lambda run: True,
-    "lyapunov": lambda run: any(t.lyapunov is not None for t in run.traces),
-    "lyapunov-rate": lambda run: any(t.lyapunov is not None for t in run.traces),
-}
-
-_AUTO_ONLY_IF = {
-    "stable-rate": _is_discrete,
-    "stable-monotone": _is_discrete,
+    "drift": RunCheck(_check_drift, needs="drift"),
+    "bias": RunCheck(_check_bias, needs="bias"),
+    "stable-rate": RunCheck(_check_stable_rate, discrete_only=True),
+    "stable-monotone": RunCheck(_check_stable_monotone, discrete_only=True),
+    "lyapunov": RunCheck(_check_lyapunov, needs="lyapunov"),
+    "lyapunov-rate": RunCheck(_check_lyapunov_rate, needs="lyapunov"),
 }
 
 
@@ -303,9 +292,10 @@ def check_run(run, dataset, checks=None) -> list[CheckReport]:
     MissingTraceDataError; unknown names raise ValueError.
     """
     if checks is None:
+        flow = getattr(run, "optimizer", "local-gd") == "local-gf"
         selected = [
-            n for n in RUN_CHECKS
-            if _CHECK_NEEDS[n](run) and _AUTO_ONLY_IF.get(n, lambda _run: True)(run)
+            n for n, c in RUN_CHECKS.items()
+            if c.has_data(run) and not (c.discrete_only and flow)
         ]
     else:
         selected = list(checks)
@@ -314,11 +304,11 @@ def check_run(run, dataset, checks=None) -> list[CheckReport]:
                 raise ValueError(
                     f"unknown check {name!r}; available: {', '.join(RUN_CHECKS)}"
                 )
-            if not _CHECK_NEEDS[name](run):
+            if not RUN_CHECKS[name].has_data(run):
                 raise MissingTraceDataError(
                     f"run traces lack the data needed by check {name!r}"
                 )
-    reports = [RUN_CHECKS[name](run, dataset) for name in selected]
+    reports = [RUN_CHECKS[name].fn(run, dataset) for name in selected]
     if checks is None and any(r.name == "stable-rate" for r in reports):
         reports.append(_check_stable_rate(run, dataset, strict=True))
     return reports
@@ -329,10 +319,6 @@ def envelope_two_stage(eta2, gamma, K, R, r0) -> float:
     if R <= r0:
         raise ValueError(f"R={R} must exceed r0={r0}")
     return 2.0 / (eta2 * gamma**2 * K * (R - r0))
-
-
-def _pos_log(x):
-    return max(0.0, math.log(x)) if x > 0 else 0.0
 
 
 def envelope_baseline(kind, gamma, K, R) -> float:

@@ -207,6 +207,29 @@ def _traced(r, R, every):
     return r % every == 0 or r == R
 
 
+def _round_loop(dataset, w, config, eta, step, lyap=None):
+    """Rounds 1..R from w, traced as config.trace_every says.
+
+    ``step(w)`` runs one round and returns (w_next, bounds); bounds, when not
+    None, is the round's (drift, bias), stored on the round's start trace if
+    that round is traced. ``lyap()``, if given, returns the current
+    (lyapunov, rho, a) triple. Raises DivergenceError at the first non-finite
+    iterate; returns (traces, final).
+    """
+    traces = [_make_trace(dataset, w, 0, eta, lyap=None if lyap is None else lyap())]
+    for r in range(config.R):
+        w_next, bounds = step(w)
+        if bounds is not None and traces[-1].r == r:
+            traces[-1].drift, traces[-1].bias = bounds
+        if not np.all(np.isfinite(w_next)):
+            raise DivergenceError(r + 1, traces)
+        w = w_next
+        if _traced(r + 1, config.R, config.trace_every):
+            traces.append(_make_trace(dataset, w, r + 1, eta,
+                                      lyap=None if lyap is None else lyap()))
+    return traces, w
+
+
 def run_local_gd(dataset, config: RunConfig) -> RunResult:
     """Local GD for R rounds from w0 (zero by default), with full tracing.
 
@@ -224,8 +247,9 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
     w = _initial_weights(dataset, config)
     uniform = config.averaging == "uniform_average"
     avg_acc = np.zeros_like(w) if uniform else None
-    traces = [_make_trace(dataset, w, 0, eta)]
-    for r in range(config.R):
+
+    def step(w):
+        nonlocal avg_acc
         acc = np.zeros_like(w)
         round_iterate_sum = np.zeros_like(w) if uniform else None
         drift = []
@@ -238,17 +262,11 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
             if config.track_bounds:
                 drift.append(dr)
                 bias.append(bi)
-        if config.track_bounds and traces and traces[-1].r == r:
-            traces[-1].drift = drift
-            traces[-1].bias = bias
-        w_next = acc / M
         if uniform:
             avg_acc = avg_acc + round_iterate_sum / M
-        if not np.all(np.isfinite(w_next)):
-            raise DivergenceError(r + 1, traces)
-        w = w_next
-        if _traced(r + 1, config.R, config.trace_every):
-            traces.append(_make_trace(dataset, w, r + 1, eta))
+        return acc / M, ((drift, bias) if config.track_bounds else None)
+
+    traces, w = _round_loop(dataset, w, config, eta, step)
     averaged = avg_acc / (config.K * config.R) if uniform else None
     return RunResult(
         traces=traces,
@@ -271,9 +289,25 @@ def _margin_geometry(dataset):
     return gammas, directions
 
 
+def _margin_traces(dataset, w0, U, rounds_traced, C_hist, eta, lyap=None):
+    """Traces of a margin-kernel history, whose slot idx holds w_r = w0 + U^T C / M.
+
+    ``lyap(idx)``, if given, returns slot idx's (lyapunov, rho, a) triple once
+    its iterate is known to be finite. Raises DivergenceError at the first
+    non-finite traced iterate; returns (traces, final), final being round R's.
+    """
+    traces = []
+    for idx, r in enumerate(rounds_traced):
+        w_r = w0 + (U.T @ C_hist[idx]) / dataset.M
+        if not np.all(np.isfinite(w_r)):
+            raise DivergenceError(int(r), traces)
+        traces.append(_make_trace(dataset, w_r, int(r), eta,
+                                  lyap=None if lyap is None else lyap(idx)))
+    return traces, w_r
+
+
 def _run_margin_engine(dataset, config: RunConfig) -> RunResult:
     eta = config.eta
-    M = dataset.M
     gammas, U = _margin_geometry(dataset)
     w0 = _initial_weights(dataset, config)
     a0 = U @ w0
@@ -281,17 +315,11 @@ def _run_margin_engine(dataset, config: RunConfig) -> RunResult:
     rounds_traced, _a_hist, C_hist, C_sum, S_local = local_gd_margin(
         gammas, G, a0, eta, config.K, config.R, stride=config.trace_every
     )
-    traces = []
-    for idx, r in enumerate(rounds_traced):
-        w_r = w0 + (U.T @ C_hist[idx]) / M
-        if not np.all(np.isfinite(w_r)):
-            raise DivergenceError(int(r), traces)
-        traces.append(_make_trace(dataset, w_r, int(r), eta))
-    final = w0 + (U.T @ C_hist[-1]) / M
+    traces, final = _margin_traces(dataset, w0, U, rounds_traced, C_hist, eta)
     averaged = None
     if config.averaging == "uniform_average":
         coef = (C_sum + S_local / config.K) / config.R
-        averaged = w0 + (U.T @ coef) / M
+        averaged = w0 + (U.T @ coef) / dataset.M
     return RunResult(
         traces=traces,
         final_weights=final,
@@ -326,16 +354,11 @@ def run_two_stage(dataset, config: RunConfig) -> RunResult:
         stage1_cfg = replace(
             config, R=r0, eta=config.eta1, averaging="uniform_average", w0=tuple(w0)
         )
-        try:
-            res1 = run_local_gd(dataset, stage1_cfg)
-        except DivergenceError as err:
-            raise DivergenceError(err.round_index, err.traces) from None
+        res1 = run_local_gd(dataset, stage1_cfg)
         w_hat1 = res1.averaged_weights
         traces.extend(t for t in res1.traces if t.r < r0)
     else:
         w_hat1 = w0
-    for t in traces:
-        t.stage = 1
 
     if r0 < R:
         stage2_cfg = replace(
@@ -418,68 +441,52 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     M = dataset.M
     etaK = eta * config.K
     w = _initial_weights(dataset, config)
-    traces: list[RoundTrace] = []
+    err_max = 0.0  # RK4 error estimate; the exact flow has none
 
     if method == "exact":
         gammas, U = _margin_geometry(dataset)
         state = specialfn.make_gf_state(gammas, U, etaK, a=U @ w)
-        traces.append(_make_trace(dataset, w, 0, eta, lyap=(state.lyapunov, list(map(float, state.rho)), list(map(float, state.a)))))
-        for r in range(config.R):
+
+        def step(w):
+            nonlocal state
             w_next = w + (U.T @ state.rho) / M
             state = specialfn.gf_round(state, etaK)
-            if not np.all(np.isfinite(w_next)):
-                raise DivergenceError(r + 1, traces)
-            w = w_next
-            if _traced(r + 1, config.R, config.trace_every):
-                lyap = (state.lyapunov, list(map(float, state.rho)), list(map(float, state.a)))
-                traces.append(_make_trace(dataset, w, r + 1, eta, lyap=lyap))
-        final = w
+            return w_next, None
+
+        def lyap():
+            return (state.lyapunov, list(map(float, state.rho)), list(map(float, state.a)))
+
+        traces, final = _round_loop(dataset, w, config, eta, step, lyap)
     elif n1:
         gammas, U = _margin_geometry(dataset)
-        G = U @ U.T
-        a0 = U @ w
         rounds_traced, a_hist, C_hist, err_max = gf_numeric_margin(
-            gammas, G, a0, eta, config.K, config.R,
+            gammas, U @ U.T, U @ w, eta, config.K, config.R,
             config.gf_substeps, probe=True, stride=config.trace_every,
         )
-        if err_max > 1e-6:
-            warnings.warn(
-                f"flow integration error estimate {err_max:.3e} exceeds 1e-6; "
-                "increase gf_substeps",
-                stacklevel=2,
-            )
-        for idx, r in enumerate(rounds_traced):
-            w_r = w + (U.T @ C_hist[idx]) / M
-            if not np.all(np.isfinite(w_r)):
-                raise DivergenceError(int(r), traces)
-            traces.append(
-                _make_trace(dataset, w_r, int(r), eta, lyap=_lyap_fields(gammas, etaK, a_hist[idx]))
-            )
-        final = w + (U.T @ C_hist[-1]) / M
+        traces, final = _margin_traces(
+            dataset, w, U, rounds_traced, C_hist, eta,
+            lyap=lambda idx: _lyap_fields(gammas, etaK, a_hist[idx]),
+        )
     else:
-        traces.append(_make_trace(dataset, w, 0, eta))
         half = max(1, config.gf_substeps // 2)
-        err_max = 0.0
-        for r in range(config.R):
+
+        def step(w):
+            nonlocal err_max
             acc = np.zeros_like(w)
             for Z in dataset.clients:
                 w_end = _rk4_client_flow(Z, w, eta, float(config.K), config.gf_substeps)
                 w_half = _rk4_client_flow(Z, w, eta, float(config.K), half)
                 err_max = max(err_max, float(np.max(np.abs(w_end - w_half))))
                 acc = acc + w_end
-            w_next = acc / M
-            if not np.all(np.isfinite(w_next)):
-                raise DivergenceError(r + 1, traces)
-            w = w_next
-            if _traced(r + 1, config.R, config.trace_every):
-                traces.append(_make_trace(dataset, w, r + 1, eta))
-        if err_max > 1e-6:
-            warnings.warn(
-                f"flow integration error estimate {err_max:.3e} exceeds 1e-6; "
-                "increase gf_substeps",
-                stacklevel=2,
-            )
-        final = w
+            return acc / M, None
+
+        traces, final = _round_loop(dataset, w, config, eta, step)
+    if err_max > 1e-6:
+        warnings.warn(
+            f"flow integration error estimate {err_max:.3e} exceeds 1e-6; "
+            "increase gf_substeps",
+            stacklevel=2,
+        )
     return RunResult(
         traces=traces,
         final_weights=final,

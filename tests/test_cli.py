@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from localgd import cli
-from localgd.data import FederatedDataset, save_dataset
+from localgd.data import FederatedDataset, compute_margin, save_dataset
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -60,17 +60,28 @@ class TestGenData:
         assert out.read_bytes() == out2.read_bytes()
 
 
+GOLDEN_RUNS = {
+    "small_run": ["--optimizer", "local-gd", "--policy", "small", "--K", "4", "--R", "12"],
+    "two_stage_margin": ["--optimizer", "two-stage", "--policy", "two-stage", "--lambda", "2",
+                         "--K", "4", "--R", "40", "--engine", "margin", "--trace-every", "3"],
+    "gf_exact": ["--optimizer", "local-gf", "--eta", "1", "--K", "2", "--R", "12"],
+    "gf_numeric": ["--optimizer", "local-gf", "--gf-method", "numeric", "--eta", "1",
+                   "--K", "2", "--R", "12"],
+}
+
+
 class TestRun:
-    def test_golden_csv(self, tmp_path):
+    @pytest.mark.parametrize("golden", GOLDEN_RUNS)
+    def test_golden_csv(self, tmp_path, golden):
+        # CSV only: the summary JSON embeds the dataset path
         dataset = DATA_DIR / "golden_synthetic.json"
         code = cli.main([
-            "run", "--dataset", str(dataset), "--optimizer", "local-gd",
-            "--policy", "small", "--K", "4", "--R", "12",
+            "run", "--dataset", str(dataset), *GOLDEN_RUNS[golden],
             "--out-dir", str(tmp_path), "--name", "golden",
         ])
         assert code == 0
         got = (tmp_path / "golden.csv").read_bytes()
-        expected = (DATA_DIR / "golden_small_run.csv").read_bytes()
+        expected = (DATA_DIR / f"golden_{golden}.csv").read_bytes()
         assert got == expected
 
     def test_repeat_runs_byte_identical(self, synthetic_file, tmp_path):
@@ -179,10 +190,13 @@ class TestSweep:
         for name in outs["serial"]:
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
-    def test_empty_grid_is_usage_error(self, synthetic_file, tmp_path):
-        code = cli.main(["sweep", "--dataset", str(synthetic_file), "--R", "5",
-                         "--K-grid", "x", "--out-dir", str(tmp_path)])
-        assert code == cli.EXIT_USAGE
+    def test_empty_grid_is_usage_error(self, synthetic_file, tmp_path, capsys):
+        for grid in ("x", "1,,2", "", "1,x"):
+            code = cli.main(["sweep", "--dataset", str(synthetic_file), "--R", "5",
+                             "--K-grid", grid, "--out-dir", str(tmp_path / "out")])
+            assert code == cli.EXIT_USAGE
+            assert "--K-grid" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_cells_match_standalone_run(self, synthetic_file, tmp_path, monkeypatch, capsys,
@@ -244,6 +258,21 @@ class TestSweep:
         assert "LOCALGD_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_cell_exit_codes_match_run(self, synthetic_file, tmp_path, monkeypatch):
+        # invalid input exits 1 in a cell as in `run`, through the same table
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        cases = (["--eta", "1", "--K", "2", "--checks", "lyapunov"],
+                 ["--eta", "1", "--K", "0"],
+                 ["--optimizer", "two-stage", "--eta1", "0.2", "--eta2", "3", "--r0", "5",
+                  "--K", "2"])
+        for i, flags in enumerate(cases):
+            common = ["--dataset", str(synthetic_file), "--R", "3", *flags]
+            run_code = cli.main(["run", *common, "--out-dir", str(tmp_path / f"run{i}")])
+            assert run_code == cli.EXIT_USAGE
+            assert cli.main(["sweep", *common, "--out-dir", str(tmp_path / f"sweep{i}")]) == run_code
+            cells = json.loads((tmp_path / f"sweep{i}/index.json").read_text())["cells"]
+            assert [c["exit"] for c in cells] == [run_code]
+
     def test_cell_failures_are_isolated(self, synthetic_file, tmp_path):
         # the two-stage policy cell cannot drive the local-gd optimizer; its
         # failure must not stop the small-policy cells
@@ -288,12 +317,25 @@ class TestCheckCommand:
                          "--checks", "lyapunov"])
         assert code == cli.EXIT_VIOLATION
 
-    def test_unknown_check_is_usage_error(self, synthetic_file, tmp_path, capsys):
+    def test_unknown_check_is_usage_error(self, synthetic_file, tmp_path, monkeypatch, capsys):
         summary = self._run(synthetic_file, tmp_path)
         code = cli.main(["check", "--run", str(summary), "--dataset", str(synthetic_file),
                          "--checks", "entropy"])
         assert code == cli.EXIT_USAGE
         assert "available" in capsys.readouterr().err
+
+        # run and sweep reject the name before the optimizer runs
+        def runner(*_args):
+            raise AssertionError("the optimizer ran")
+
+        monkeypatch.setattr(cli.optim, "run_local_gd", runner)
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        for command in ("run", "sweep"):
+            code = cli.main([command, "--dataset", str(synthetic_file), "--eta", "1", "--R", "3",
+                             "--checks", "drift,entropy", "--out-dir", str(tmp_path / "out")])
+            assert code == cli.EXIT_USAGE
+            assert "available" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_corrupted_summary_is_format_error(self, synthetic_file, tmp_path):
         bad = tmp_path / "bad.json"
@@ -344,13 +386,32 @@ class TestExitCodes:
         # tau for this geometry overflows, so no round is past the threshold
         assert code == cli.EXIT_USAGE
 
+    def test_envelope_gf_prints_the_run_summary_constants(self, tmp_path, capsys):
+        # two close directions keep tau finite
+        ds = FederatedDataset(clients=[np.array([[1.0, 0.0]]), np.array([[0.9, 0.05]])], d=2)
+        compute_margin(ds)
+        path = tmp_path / "close.json"
+        save_dataset(ds, path)
+        assert cli.main(["run", "--dataset", str(path), "--optimizer", "local-gf", "--eta", "1",
+                         "--K", "2", "--R", "300", "--trace-every", "100",
+                         "--out-dir", str(tmp_path), "--name", "gf"]) == 0
+        summary = json.loads((tmp_path / "gf.json").read_text())["envelopes"]
+        capsys.readouterr()
+        assert cli.main(["envelope", "--kind", "gf", "--dataset", str(path), "--eta", "1",
+                         "--K", "2", "--r", "300"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["constants"]) == ["L0", "H0", "nu", "tau", "tau0", "tau1", "c"]
+        assert doc["constants"] == summary["gf_constants"]
+        assert doc["value"] == summary["gf_final"]
+
     def test_config_file_supplies_defaults(self, synthetic_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"R": 6, "K": 2, "eta": 0.5, "out_dir": str(tmp_path)}))
-        code = cli.main(["run", "--dataset", str(synthetic_file), "--config", str(cfg),
-                         "--name", "fromcfg"])
-        assert code == 0
-        assert (tmp_path / "fromcfg.csv").exists()
+        for name, form in (("fromcfg", ["--config", str(cfg)]), ("eqform", [f"--config={cfg}"])):
+            code = cli.main(["run", "--dataset", str(synthetic_file), *form, "--name", name])
+            assert code == 0
+            rows = (tmp_path / f"{name}.csv").read_text().strip().split("\n")[2:]
+            assert [int(r.split(",")[0]) for r in rows] == list(range(7))
 
     def test_command_line_beats_config_in_equals_form(self, synthetic_file, tmp_path):
         cfg = tmp_path / "cfg.json"
