@@ -92,7 +92,10 @@ def _local_gd_margin_core(
             acc = 0.0
             for _k in range(K):
                 acc += al - am
-                al = al + e / (1.0 + math.exp(g * al))
+                try:
+                    al = al + e / (1.0 + math.exp(g * al))
+                except Exception:  # OverflowError; numba compiles no narrower clause
+                    pass  # the step is e / inf = 0, which the compiled body computes
             S_local[m] += acc
             delta[m] = al - am
         for m in range(M):

@@ -86,15 +86,13 @@ def check_gradient_objective_bounds(dataset, weight_samples) -> CheckReport:
     for idx, w in enumerate(weight_samples):
         w = np.asarray(w, dtype=np.float64)
         rep = losses.objective(dataset, w)
-        for m in range(dataset.M):
-            fm = rep.per_client_values[m]
-            gm = float(np.linalg.norm(losses.client_gradient(dataset, m, w)))
-            report.record(idx, gm, fm)
+        for m, (fm, grad_m) in enumerate(zip(rep.per_client_values, rep.per_client_grads)):
+            report.record(idx, float(np.linalg.norm(grad_m)), fm)
             hm = losses.client_hessian_spectral_norm(dataset, m, w)
             report.record(idx, hm, fm, tol=HESS_RTOL * max(1.0, fm))
         h = losses.hessian_spectral_norm(dataset, w)
         report.record(idx, h, rep.value, tol=HESS_RTOL * max(1.0, rep.value))
-        if losses.min_margin(dataset, w) >= 0.0:
+        if rep.min_margin >= 0.0:
             if gamma is None:
                 gamma, _ = compute_margin(dataset)
             # lower bound on the gradient: operands swapped so that positive

@@ -43,7 +43,7 @@ def ell_prime(z):
     """First derivative -1/(exp(z) + 1), always in (-1, 0)."""
     z = np.asarray(z, dtype=np.float64)
     t = np.exp(-np.abs(z))
-    out = np.where(z >= 0, -t / (1.0 + t), -1.0 / (1.0 + t))
+    out = np.where(z >= 0, -t, -1.0) / (1.0 + t)
     return out if out.ndim else float(out)
 
 
@@ -60,12 +60,14 @@ def ell_double_prime(z):
 
 @dataclass(frozen=True)
 class ObjectiveReport:
-    """Value, gradient and per-client losses of the global objective at w."""
+    """Value and gradient, per-client values and gradients, and min margin at w."""
 
     value: float
     grad: np.ndarray
     grad_norm: float
     per_client_values: list[float]
+    per_client_grads: list[np.ndarray]
+    min_margin: float
 
 
 def _check_dim(dataset, w, name="w"):
@@ -95,38 +97,51 @@ def min_margin(dataset, w):
 
 
 def objective(dataset, w) -> ObjectiveReport:
-    """Global loss, gradient, and per-client losses at w.
+    """Global loss, gradient, per-client losses and gradients, and min margin at w.
 
-    The global objective is the mean over clients of the per-client mean
-    losses; its gradient is accumulated client by client in ascending order.
+    Each client's scores ``Z @ w`` are computed once. The global objective is
+    the mean over clients of the per-client mean losses; its gradient is
+    accumulated client by client in ascending order.
     """
     w = _check_dim(dataset, w)
     M = len(dataset.clients)
-    values = []
+    values, grads, margins = [], [], []
     grad = np.zeros(dataset.d)
     for Z in dataset.clients:
         scores = Z @ w
         values.append(float(np.mean(ell(scores))))
-        grad += (Z.T @ ell_prime(scores)) / Z.shape[0]
+        grads.append((Z.T @ ell_prime(scores)) / Z.shape[0])
+        grad += grads[-1]
+        margins.append(np.min(scores))
     grad /= M
     return ObjectiveReport(
         value=float(sum(values) / M),
         grad=grad,
         grad_norm=float(np.linalg.norm(grad)),
         per_client_values=values,
+        per_client_grads=grads,
+        min_margin=float(min(margins)),
     )
+
+
+def _hessian_operator(clients, w):
+    """v -> (mean of the ``clients``' Hessians at w) @ v, with ell''(Z @ w) formed once."""
+    curvatures = [ell_double_prime(Z @ w) for Z in clients]
+
+    def matvec(v):
+        out = np.zeros(len(w))
+        for Z, c in zip(clients, curvatures):
+            out += (Z.T @ (c * (Z @ v))) / Z.shape[0]
+        return out / len(clients)
+
+    return matvec
 
 
 def hessian_vector_product(dataset, w, v):
     """Product of the global Hessian at w with a vector v, without forming it."""
     w = _check_dim(dataset, w)
     v = _check_dim(dataset, v, name="v")
-    M = len(dataset.clients)
-    out = np.zeros(dataset.d)
-    for Z in dataset.clients:
-        coeff = ell_double_prime(Z @ w) * (Z @ v)
-        out += (Z.T @ coeff) / Z.shape[0]
-    return out / M
+    return _hessian_operator(dataset.clients, w)(v)
 
 
 def _power_iteration(matvec, d, tol, max_iter):
@@ -165,18 +180,10 @@ def hessian_spectral_norm(dataset, w, tol=1e-8, max_iter=10000):
     carrying the last estimate if the iteration cap is reached.
     """
     w = _check_dim(dataset, w)
-    return _power_iteration(
-        lambda v: hessian_vector_product(dataset, w, v), dataset.d, tol, max_iter
-    )
+    return _power_iteration(_hessian_operator(dataset.clients, w), dataset.d, tol, max_iter)
 
 
 def client_hessian_spectral_norm(dataset, m, w, tol=1e-8, max_iter=10000):
     """Largest eigenvalue of client m's Hessian at w."""
     w = _check_dim(dataset, w)
-    Z = dataset.clients[m]
-
-    def matvec(v):
-        coeff = ell_double_prime(Z @ w) * (Z @ v)
-        return (Z.T @ coeff) / Z.shape[0]
-
-    return _power_iteration(matvec, dataset.d, tol, max_iter)
+    return _power_iteration(_hessian_operator([dataset.clients[m]], w), dataset.d, tol, max_iter)

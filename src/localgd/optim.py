@@ -134,15 +134,14 @@ def _initial_weights(dataset, config):
     return w0.copy()
 
 
-def _make_trace(dataset, w, r, eta, stage=1, lyap=None):
-    rep = losses.objective(dataset, w)
+def _make_trace(rep, w, r, eta, stage=1, lyap=None):
     trace = RoundTrace(
         r=r,
         global_loss=rep.value,
         client_losses=rep.per_client_values,
         grad_norm=rep.grad_norm,
         iterate_norm=float(np.linalg.norm(w)),
-        min_margin=losses.min_margin(dataset, w),
+        min_margin=rep.min_margin,
         eta_used=eta,
         stage=stage,
     )
@@ -151,35 +150,37 @@ def _make_trace(dataset, w, r, eta, stage=1, lyap=None):
     return trace
 
 
-def _client_pass(Z, w_bar, K, eta, collect):
-    """K local full-gradient steps of one client from the shared iterate.
+def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
+    """One local-GD round from w_bar: K full-gradient steps per client, averaged.
 
-    Returns (w_final, iterate_sum, drift, bias): iterate_sum adds up the K
-    iterates w_0..w_{K-1} (for uniform averaging); drift is max_k ||w_k - w_bar||
-    and bias max_k of the gradient deviation from the round start, both over
-    k = 1..K (None when not collected).
+    rep is w_bar's ObjectiveReport, or None. Returns (w_next, finals, drift,
+    bias, iterate_sum), reduced in ascending client order. Per client, drift is
+    max_k ||w_k - w_bar|| and bias max_k ||grad(w_k) - grad(w_bar)|| over
+    k = 1..K (0.0 unless collect; only the bias needs grad(w_K)). iterate_sum
+    adds up all clients' iterates w_0..w_{K-1} (None unless sums).
     """
-    n = Z.shape[0]
-
-    def grad(w):
-        return (Z.T @ losses.ell_prime(Z @ w)) / n
-
-    g_ref = grad(w_bar) if collect else None
-    w = w_bar
-    iterate_sum = np.zeros_like(w_bar)
-    drift = 0.0
-    bias = 0.0
-    g = grad(w_bar) if not collect else g_ref
-    for _k in range(K):
-        iterate_sum = iterate_sum + w
-        w = w - eta * g
-        if collect:
-            drift = max(drift, float(np.linalg.norm(w - w_bar)))
-        g = grad(w)
-        if collect:
-            bias = max(bias, float(np.linalg.norm(g - g_ref)))
-    # the gradient at w_K is computed either way; only its use differs
-    return w, iterate_sum, (drift if collect else None), (bias if collect else None)
+    grads = (rep.per_client_grads if rep is not None
+             else [losses.client_gradient(dataset, m, w_bar) for m in range(dataset.M)])
+    finals, drift, bias = [], [], []
+    iterate_sum = np.zeros_like(w_bar) if sums else None
+    for Z, g_ref in zip(dataset.clients, grads):
+        w, g = w_bar, g_ref
+        client_sum = np.zeros_like(w_bar) if sums else None
+        drift.append(0.0)
+        bias.append(0.0)
+        for k in range(K):
+            if sums:
+                client_sum = client_sum + w
+            w = w - eta * g
+            if collect or k + 1 < K:
+                g = (Z.T @ losses.ell_prime(Z @ w)) / Z.shape[0]
+            if collect:
+                drift[-1] = max(drift[-1], float(np.linalg.norm(w - w_bar)))
+                bias[-1] = max(bias[-1], float(np.linalg.norm(g - g_ref)))
+        finals.append(w)
+        if sums:
+            iterate_sum = iterate_sum + client_sum
+    return sum(finals, np.zeros_like(w_bar)) / dataset.M, finals, drift, bias, iterate_sum
 
 
 def local_gd_round(dataset, w_bar, K, eta):
@@ -192,15 +193,8 @@ def local_gd_round(dataset, w_bar, K, eta):
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     w_bar = np.asarray(w_bar, dtype=np.float64)
-    finals = []
-    drift_max = 0.0
-    acc = np.zeros_like(w_bar)
-    for Z in dataset.clients:
-        w_final, _s, drift, _b = _client_pass(Z, w_bar, K, eta, collect=True)
-        finals.append(w_final)
-        drift_max = max(drift_max, drift)
-        acc = acc + w_final
-    return acc / len(dataset.clients), finals, drift_max
+    w_next, finals, drift, _bias, _sum = _gd_round(dataset, w_bar, None, K, eta, True, False)
+    return w_next, finals, max([0.0, *drift])
 
 
 def _traced(r, R, every):
@@ -210,22 +204,25 @@ def _traced(r, R, every):
 def _round_loop(dataset, w, config, eta, step, lyap=None):
     """Rounds 1..R from w, traced as config.trace_every says.
 
-    ``step(w)`` runs one round and returns (w_next, bounds); bounds, when not
-    None, is the round's (drift, bias), stored on the round's start trace if
-    that round is traced. ``lyap()``, if given, returns the current
-    (lyapunov, rho, a) triple. Raises DivergenceError at the first non-finite
-    iterate; returns (traces, final).
+    ``step(w, rep)`` runs one round and returns (w_next, bounds); rep is w's
+    ObjectiveReport if w is traced, else None, and bounds, when not None, is
+    the round's (drift, bias), which goes on w's trace. ``lyap()``, if given,
+    returns the current (lyapunov, rho, a) triple. Raises DivergenceError at
+    the first non-finite iterate; returns (traces, final).
     """
-    traces = [_make_trace(dataset, w, 0, eta, lyap=None if lyap is None else lyap())]
+    rep = losses.objective(dataset, w)
+    traces = [_make_trace(rep, w, 0, eta, lyap=None if lyap is None else lyap())]
     for r in range(config.R):
-        w_next, bounds = step(w)
-        if bounds is not None and traces[-1].r == r:
+        w_next, bounds = step(w, rep)
+        if bounds is not None:
             traces[-1].drift, traces[-1].bias = bounds
         if not np.all(np.isfinite(w_next)):
             raise DivergenceError(r + 1, traces)
         w = w_next
+        rep = None
         if _traced(r + 1, config.R, config.trace_every):
-            traces.append(_make_trace(dataset, w, r + 1, eta,
+            rep = losses.objective(dataset, w)
+            traces.append(_make_trace(rep, w, r + 1, eta,
                                       lyap=None if lyap is None else lyap()))
     return traces, w
 
@@ -243,28 +240,19 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
     if config.engine == "margin":
         return _run_margin_engine(dataset, config)
     eta = config.eta
-    M = dataset.M
     w = _initial_weights(dataset, config)
     uniform = config.averaging == "uniform_average"
     avg_acc = np.zeros_like(w) if uniform else None
 
-    def step(w):
+    def step(w, rep):
         nonlocal avg_acc
-        acc = np.zeros_like(w)
-        round_iterate_sum = np.zeros_like(w) if uniform else None
-        drift = []
-        bias = []
-        for Z in dataset.clients:
-            w_final, it_sum, dr, bi = _client_pass(Z, w, config.K, eta, config.track_bounds)
-            acc = acc + w_final
-            if uniform:
-                round_iterate_sum = round_iterate_sum + it_sum
-            if config.track_bounds:
-                drift.append(dr)
-                bias.append(bi)
+        # drift and bias are stored only on traces, so only traced rounds collect them
+        collect = config.track_bounds and rep is not None
+        w_next, _finals, drift, bias, iterate_sum = _gd_round(
+            dataset, w, rep, config.K, eta, collect, uniform)
         if uniform:
-            avg_acc = avg_acc + round_iterate_sum / M
-        return acc / M, ((drift, bias) if config.track_bounds else None)
+            avg_acc = avg_acc + iterate_sum / dataset.M
+        return w_next, ((drift, bias) if collect else None)
 
     traces, w = _round_loop(dataset, w, config, eta, step)
     averaged = avg_acc / (config.K * config.R) if uniform else None
@@ -301,7 +289,7 @@ def _margin_traces(dataset, w0, U, rounds_traced, C_hist, eta, lyap=None):
         w_r = w0 + (U.T @ C_hist[idx]) / dataset.M
         if not np.all(np.isfinite(w_r)):
             raise DivergenceError(int(r), traces)
-        traces.append(_make_trace(dataset, w_r, int(r), eta,
+        traces.append(_make_trace(losses.objective(dataset, w_r), w_r, int(r), eta,
                                   lyap=None if lyap is None else lyap(idx)))
     return traces, w_r
 
@@ -382,7 +370,8 @@ def run_two_stage(dataset, config: RunConfig) -> RunResult:
         final = res2.final_weights
     else:
         final = np.asarray(w_hat1, dtype=np.float64)
-        traces.append(_make_trace(dataset, final, r0, config.eta2, stage=2))
+        traces.append(_make_trace(losses.objective(dataset, final), final, r0, config.eta2,
+                                  stage=2))
     return RunResult(
         traces=traces,
         final_weights=final,
@@ -444,10 +433,12 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     err_max = 0.0  # RK4 error estimate; the exact flow has none
 
     if method == "exact":
+        if not np.all(np.isfinite(w)):
+            raise DivergenceError(0, [])  # as the numeric flow reports a non-finite start
         gammas, U = _margin_geometry(dataset)
         state = specialfn.make_gf_state(gammas, U, etaK, a=U @ w)
 
-        def step(w):
+        def step(w, _rep):
             nonlocal state
             w_next = w + (U.T @ state.rho) / M
             state = specialfn.gf_round(state, etaK)
@@ -470,7 +461,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     else:
         half = max(1, config.gf_substeps // 2)
 
-        def step(w):
+        def step(w, _rep):
             nonlocal err_max
             acc = np.zeros_like(w)
             for Z in dataset.clients:

@@ -67,14 +67,22 @@ GOLDEN_RUNS = {
     "gf_exact": ["--optimizer", "local-gf", "--eta", "1", "--K", "2", "--R", "12"],
     "gf_numeric": ["--optimizer", "local-gf", "--gf-method", "numeric", "--eta", "1",
                    "--K", "2", "--R", "12"],
+    "two_stage_numpy": ["--optimizer", "two-stage", "--policy", "two-stage", "--lambda", "2",
+                        "--K", "4", "--R", "40", "--trace-every", "3"],
+    "multi_sample": ["--optimizer", "local-gd", "--policy", "small", "--K", "3", "--R", "10",
+                     "--checks", "drift,bias"],
 }
+# runs on another dataset than golden_synthetic.json
+GOLDEN_DATASETS = {"multi_sample": "golden_multi_sample.json"}
+# runs whose summary traces and checks are pinned too (drift and bias are not in the CSV)
+GOLDEN_SUMMARIES = ("multi_sample",)
 
 
 class TestRun:
     @pytest.mark.parametrize("golden", GOLDEN_RUNS)
     def test_golden_csv(self, tmp_path, golden):
-        # CSV only: the summary JSON embeds the dataset path
-        dataset = DATA_DIR / "golden_synthetic.json"
+        # not the whole summary JSON: it embeds the dataset path
+        dataset = DATA_DIR / GOLDEN_DATASETS.get(golden, "golden_synthetic.json")
         code = cli.main([
             "run", "--dataset", str(dataset), *GOLDEN_RUNS[golden],
             "--out-dir", str(tmp_path), "--name", "golden",
@@ -83,6 +91,10 @@ class TestRun:
         got = (tmp_path / "golden.csv").read_bytes()
         expected = (DATA_DIR / f"golden_{golden}.csv").read_bytes()
         assert got == expected
+        if golden in GOLDEN_SUMMARIES:
+            doc = json.loads((tmp_path / "golden.json").read_text())
+            pinned = json.loads((DATA_DIR / f"golden_{golden}_summary.json").read_text())
+            assert {"checks": doc["checks"], "traces": doc["traces"]} == pinned
 
     def test_repeat_runs_byte_identical(self, synthetic_file, tmp_path):
         args = ["run", "--dataset", str(synthetic_file), "--optimizer", "two-stage",
@@ -155,6 +167,18 @@ class TestRun:
         assert doc["result"]["diverged"] is True
         assert doc["result"]["divergence_round"] == 1
         assert len(doc["traces"]) == 1
+
+    def test_margin_engine_overflowing_step_is_divergence(self, synthetic_file, tmp_path):
+        # exp overflows inside the margin kernel once eta2 = 1e308 has moved the margins
+        with np.errstate(over="ignore"), pytest.warns(UserWarning, match="exceeds 4"):
+            code = cli.main(["run", "--dataset", str(synthetic_file), "--engine", "margin",
+                             "--optimizer", "two-stage", "--eta1", "0.2", "--eta2", "1e308",
+                             "--r0", "3", "--K", "4", "--R", "15",
+                             "--out-dir", str(tmp_path), "--name", "ovf"])
+        assert code == cli.EXIT_DIVERGENCE
+        doc = json.loads((tmp_path / "ovf.json").read_text())
+        assert doc["result"]["diverged"] is True
+        assert [t["stage"] for t in doc["traces"][:4]] == [1, 1, 1, 2]
 
 
 class TestSweep:

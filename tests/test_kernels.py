@@ -53,6 +53,14 @@ def _reference_rounds(gammas, G, a0, rounds, stride, local):
     return r_hist, a_hist, C_hist, C_sum
 
 
+def _exp(x):
+    """math.exp, or inf where it overflows (what compiled code computes)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _reference_local_gd(gammas, G, a0, eta, K, rounds, stride):
     S_local = [0.0] * len(gammas)
 
@@ -60,7 +68,7 @@ def _reference_local_gd(gammas, G, a0, eta, K, rounds, stride):
         g, al, acc = gammas[m], am, 0.0
         for _ in range(K):
             acc += al - am
-            al = al + eta * g / (1.0 + math.exp(g * al))
+            al = al + eta * g / (1.0 + _exp(g * al))
         S_local[m] += acc
         return al
 
@@ -142,6 +150,22 @@ def test_local_gd_kernel_matches_python_body(monkeypatch):
         assert lists[0].dtype == np.int64 and lists[1].dtype == np.float64
         for other in (bound, arrays, reference):
             _assert_bitwise(lists, other, case)
+
+
+def test_local_gd_kernel_overflowing_step_adds_zero():
+    # exp(g * a) overflows past g * a > 709: from a start that far out
+    # (client 0), and after a first step at eta = 1e300 (every client)
+    gammas, G, _ = _geometry(3, 7)
+    for eta, a0 in ((1.7, np.array([1000.0, -0.2, 0.4])), (1e300, np.array([0.1, -0.3, 0.2]))):
+        K, rounds, stride = 4, 6, 1
+        lists = _kernels.local_gd_margin(gammas, G, a0, eta, K, rounds, stride)
+        hist, work, _ = _array_body(
+            _kernels._local_gd_margin_core, gammas, G, a0, rounds, stride, 4, eta, K, rounds, stride
+        )
+        reference = _reference_local_gd(gammas, G, a0, eta, K, rounds, stride)
+        for other in (hist + [work[1], work[2]], reference):
+            _assert_bitwise(lists, other, eta)
+        assert np.all(np.isfinite(lists[2])), eta
 
 
 def test_gf_kernel_matches_python_body(monkeypatch):

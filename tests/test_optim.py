@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localgd import losses
 from localgd.data import FederatedDataset, RawSample, SyntheticSpec, gen_synthetic, prepare
 from localgd.errors import DivergenceError
 from localgd.optim import (
+    AVERAGING_MODES,
     RunConfig,
     local_gd_round,
     run_local_gd,
@@ -152,16 +155,41 @@ class TestRunLocalGd:
             assert t.bias is not None and all(b >= 0 for b in t.bias)
         assert res.traces[-1].drift is None
 
-    def test_margin_engine_matches_numpy_engine(self):
-        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
-        cfg = dict(R=100, K=8, eta=1.0, averaging="uniform_average")
+    @given(
+        seed=st.integers(0, 2**32 - 1), M=st.integers(2, 4), d=st.integers(2, 4),
+        K=st.integers(1, 8), eta=st.floats(0.1, 8.0), R=st.integers(1, 40),
+        trace_every=st.integers(1, 3), averaging=st.sampled_from(AVERAGING_MODES),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_margin_engine_matches_numpy_engine(self, seed, M, d, K, eta, R, trace_every, averaging):
+        ds = random_dataset(np.random.default_rng(seed), M=M, n=1, d=d)
+        cfg = dict(R=R, K=K, eta=eta, averaging=averaging, trace_every=trace_every)
         res_np = run_local_gd(ds, RunConfig(engine="numpy", **cfg))
         res_mg = run_local_gd(ds, RunConfig(engine="margin", **cfg))
-        np.testing.assert_allclose(res_mg.final_weights, res_np.final_weights, atol=1e-9)
-        np.testing.assert_allclose(res_mg.averaged_weights, res_np.averaged_weights, atol=1e-9)
+        np.testing.assert_allclose(res_mg.final_weights, res_np.final_weights, rtol=0, atol=1e-9)
+        if averaging == "uniform_average":
+            np.testing.assert_allclose(
+                res_mg.averaged_weights, res_np.averaged_weights, rtol=0, atol=1e-9
+            )
+        assert [t.r for t in res_mg.traces] == [t.r for t in res_np.traces]
         for a, b in zip(res_np.traces, res_mg.traces):
-            assert a.r == b.r
-            assert a.global_loss == pytest.approx(b.global_loss, abs=1e-9)
+            np.testing.assert_allclose(
+                [b.global_loss, b.grad_norm, b.min_margin, *b.client_losses],
+                [a.global_loss, a.grad_norm, a.min_margin, *a.client_losses], rtol=0, atol=1e-9,
+            )
+
+    @pytest.mark.parametrize("track_bounds", [True, False])
+    def test_one_client_evaluation_per_iterate(self, rng, monkeypatch, track_bounds):
+        # each traced iterate is evaluated once (one ell_prime per client); a
+        # round then takes K - 1 more client gradients, plus the one at w_K
+        # only when the bias is tracked
+        calls = []
+        real = losses.ell_prime
+        monkeypatch.setattr(losses, "ell_prime", lambda z: calls.append(1) or real(z))
+        M, R, K = 3, 5, 4
+        ds = random_dataset(rng, M=M, n=2, d=4)
+        run_local_gd(ds, RunConfig(R=R, K=K, eta=0.9, track_bounds=track_bounds))
+        assert len(calls) == M * (R + 1) + R * M * (K if track_bounds else K - 1)
 
     def test_margin_engine_rejects_multisample_clients(self, rng):
         ds = random_dataset(rng, M=2, n=3, d=4)
@@ -265,6 +293,14 @@ class TestRunLocalGf:
             for a, b in zip(exact.traces, numeric.traces)
         )
         assert diff <= 1e-6
+
+    def test_non_finite_start_diverges_at_round_zero(self):
+        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
+        for method in ("exact", "numeric"):
+            with pytest.raises(DivergenceError) as err:
+                run_local_gf(ds, RunConfig(R=5, K=2, eta=1.0, gf_method=method, w0=(math.nan, 0.0)))
+            assert err.value.round_index == 0, method
+            assert err.value.traces == [], method
 
     def test_coarse_substeps_warn(self):
         ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
