@@ -5,56 +5,116 @@ updates move each client iterate only along u_m, so a whole run is determined
 by the scalar projections a_m = <w, u_m> and the Gram matrix of the
 directions. These kernels run the (rounds x K) recurrences; histories are
 sampled every ``stride`` rounds (round 0 and the final round always
-included).
+included). A run stops after the first round that leaves a non-finite a_m or
+C_m, and that round is its last history slot.
 
-Each kernel has one body and two ways to run it:
+Each kernel has two backends that agree bitwise:
 
-* compiled: with numba installed, the bodies are compiled in nopython mode
-  and the wrappers hand them float64 arrays;
-* fallback: without numba, the bodies stay plain Python functions and the
-  wrappers hand them lists of Python floats, which the interpreter steps
-  through several times faster than numpy scalars.
+* C: ``_kernels.c`` in this package, compiled with the system ``cc`` on the
+  first run large enough to repay the build (``C_MIN_WORK``), cached under
+  ``$XDG_CACHE_HOME/localgd`` (``~/.cache/localgd``) and loaded with ctypes;
+* Python: the ``_*_core`` bodies below, stepping through lists of Python
+  floats. They are the reference the C port is tested against, and run
+  below ``C_MIN_WORK`` and wherever the library cannot be built (with one
+  RuntimeWarning per process).
 
-The wrappers allocate every work buffer and history, and the bodies touch
-them only through ``len``, indexing (``x[i]``, ``x[i][j]``) and row copies
-(``x[:]``), which mean the same on arrays and on lists. Both ways perform
-the same IEEE double operations in the same order, so they agree bitwise.
+Both perform the same IEEE double operations in the same order; an
+overflowing exp counts as inf, so the local step from there is e / inf = 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import shutil
+import tempfile
+import warnings
+from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly by import
-    from numba import njit as _njit
+# Scalar steps (local GD: M*K*rounds; flow: M*rounds*substeps RK4 steps) from
+# which a run goes to C. A cold build of the library takes about as long as
+# this many Python steps, so no run pays more than twice its Python time.
+C_MIN_WORK = 1 << 18
 
-    def _jit(func):
-        return _njit(cache=True)(func)
+_SOURCE = Path(__file__).with_name("_kernels.c")
+_CC = "cc"
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-except ImportError:  # pragma: no cover
 
-    def _jit(func):
-        return func
+def _build(cc, out):
+    """Compile the C source into ``out``, via a temporary file so concurrent builds are safe."""
+    import subprocess
+
+    out.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=out.parent, suffix=".so")
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                              capture_output=True, text=True)
+        if proc.returncode:
+            raise OSError(f"{cc} exited with {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _library():
+    """The compiled kernels as a ctypes library, or None (with a warning) if it cannot be had."""
+    cc = shutil.which(_CC)
+    if cc is None:
+        warnings.warn(f"no C compiler ({_CC!r} not on PATH); margin kernels run as plain "
+                      "Python", RuntimeWarning, stacklevel=3)
+        return None
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "localgd"
+    import ctypes
+
+    try:
+        key = sha256(_SOURCE.read_bytes() + "\0".join((cc, *_CFLAGS)).encode()).hexdigest()
+        path = cache / f"kernels-{key[:16]}.so"
+        if not path.exists():
+            _build(cc, path)
+        lib = ctypes.CDLL(str(path))
+    except OSError as err:
+        warnings.warn(f"could not build the C margin kernels ({err}); they run as plain "
+                      "Python", RuntimeWarning, stacklevel=3)
+        return None
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    n, x = ctypes.c_int64, ctypes.c_double
+    lib.localgd_local_gd_margin.argtypes = (
+        [n, f64, f64, f64, x, n, n, n] + [f64] * 6 + [i64])
+    lib.localgd_local_gd_margin.restype = n
+    lib.localgd_gf_numeric_margin.argtypes = (
+        [n, f64, f64, f64, x, n, n, n, ctypes.c_int32, n] + [f64] * 4 + [i64, f64])
+    lib.localgd_gf_numeric_margin.restype = n
+    return lib
 
 
 def _trace_slots(rounds, stride):
     return rounds // stride + (1 if rounds % stride else 0) + 1
 
 
-def _kernel_args(core, slots, n_work, gammas, G, a0):
-    """The arguments ``core`` runs on, as arrays if it is compiled, else lists.
+def _kernel_args(c, slots, n_work, gammas, G, a0):
+    """The buffers a kernel runs on: float64 arrays for C, else lists of Python floats.
 
     Returns ``(gammas, G, a, work, hist)``: ``a`` is a fresh copy of ``a0``,
     ``work`` holds ``n_work`` zeroed length-M buffers and ``hist`` the
     (a_hist, C_hist, r_hist) histories with ``slots`` rows.
     """
-    M = len(gammas)
-    gammas = np.asarray(gammas, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
+    gammas = np.ascontiguousarray(gammas, dtype=np.float64)
+    G = np.ascontiguousarray(G, dtype=np.float64)
     a = np.array(a0, dtype=np.float64)
-    if hasattr(core, "py_func"):  # a numba dispatcher
+    M = len(gammas)
+    if gammas.shape != (M,) or G.shape != (M, M) or a.shape != (M,):
+        raise ValueError(f"need M gammas, an M x M Gram matrix and M projections, got "
+                         f"shapes {gammas.shape}, {G.shape} and {a.shape}")
+    if c:
         work = [np.zeros(M) for _ in range(n_work)]
         hist = (np.zeros((slots, M)), np.zeros((slots, M)), np.zeros(slots, dtype=np.int64))
         return gammas, G, a, work, hist
@@ -73,10 +133,10 @@ def _traced(hist, used):
     )
 
 
-@_jit
 def _local_gd_margin_core(
     gammas, G, a, eta, K, rounds, stride, C, C_sum, S_local, delta, a_hist, C_hist, r_hist
 ):
+    isfinite = math.isfinite
     M = len(gammas)
     a_hist[0] = a[:]
     C_hist[0] = C[:]
@@ -94,22 +154,28 @@ def _local_gd_margin_core(
                 acc += al - am
                 try:
                     al = al + e / (1.0 + math.exp(g * al))
-                except Exception:  # OverflowError; numba compiles no narrower clause
-                    pass  # the step is e / inf = 0, which the compiled body computes
+                except OverflowError:  # what C computes: e / inf
+                    al = al + e / (1.0 + math.inf)
             S_local[m] += acc
             delta[m] = al - am
+        # averaging inline, as in the flow body: a call per round costs ~5% at K=4
+        finite = True
         for m in range(M):
             Gm = G[m]
             upd = 0.0
             for mm in range(M):
                 upd += Gm[mm] * delta[mm]
-            a[m] = a[m] + upd / M
-            C[m] += delta[m]
-        if (r + 1) % stride == 0 or r + 1 == rounds:
+            a[m] = am = a[m] + upd / M
+            C[m] = cm = C[m] + delta[m]
+            if not (isfinite(am) and isfinite(cm)):
+                finite = False
+        if not finite or (r + 1) % stride == 0 or r + 1 == rounds:
             a_hist[slot] = a[:]
             C_hist[slot] = C[:]
             r_hist[slot] = r + 1
             slot += 1
+        if not finite:
+            break
     return slot
 
 
@@ -121,9 +187,14 @@ def local_gd_margin(gammas, G, a0, eta, K, rounds, stride=1):
     w0 + (1/M) * sum_m C[m] * u_m), C_sum accumulates C over round starts and
     S_local the within-round partial sums needed for uniform iterate averaging.
     """
-    core = _local_gd_margin_core
-    gammas, G, a, work, hist = _kernel_args(core, _trace_slots(rounds, stride), 4, gammas, G, a0)
-    used = core(gammas, G, a, float(eta), int(K), int(rounds), int(stride), *work, *hist)
+    M, eta, K, rounds, stride = len(gammas), float(eta), int(K), int(rounds), int(stride)
+    lib = _library() if M * K * rounds >= C_MIN_WORK else None
+    gammas, G, a, work, hist = _kernel_args(
+        lib is not None, _trace_slots(rounds, stride), 4, gammas, G, a0)
+    if lib is None:
+        used = _local_gd_margin_core(gammas, G, a, eta, K, rounds, stride, *work, *hist)
+    else:
+        used = lib.localgd_local_gd_margin(M, gammas, G, a, eta, K, rounds, stride, *work, *hist)
     _C, C_sum, S_local, _delta = work
     return _traced(hist, used) + (
         np.asarray(C_sum, dtype=np.float64),
@@ -131,28 +202,44 @@ def local_gd_margin(gammas, G, a0, eta, K, rounds, stride=1):
     )
 
 
-@_jit
-def _rk4_flow(a, g, eta, t_total, substeps):
+def _exp(x):
+    """math.exp, with inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _rk4_steps(a, g, eta, t_total, substeps, exp):
     h = t_total / substeps
     half_h = 0.5 * h
     sixth_h = h / 6.0
     e = eta * g
     for _ in range(substeps):
-        k1 = e / (1.0 + math.exp(g * a))
+        k1 = e / (1.0 + exp(g * a))
         a2 = a + half_h * k1
-        k2 = e / (1.0 + math.exp(g * a2))
+        k2 = e / (1.0 + exp(g * a2))
         a3 = a + half_h * k2
-        k3 = e / (1.0 + math.exp(g * a3))
+        k3 = e / (1.0 + exp(g * a3))
         a4 = a + h * k3
-        k4 = e / (1.0 + math.exp(g * a4))
+        k4 = e / (1.0 + exp(g * a4))
         a = a + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return a
 
 
-@_jit
+def _rk4_flow(a, g, eta, t_total, substeps):
+    # math.exp runs at full speed; the rare run that overflows is redone
+    # from its start with the overflow-safe _exp
+    try:
+        return _rk4_steps(a, g, eta, t_total, substeps, math.exp)
+    except OverflowError:
+        return _rk4_steps(a, g, eta, t_total, substeps, _exp)
+
+
 def _gf_numeric_margin_core(
     gammas, G, a, eta, K, rounds, substeps, probe, stride, C, delta, a_hist, C_hist, r_hist
 ):
+    isfinite = math.isfinite
     M = len(gammas)
     T = float(K)
     a_hist[0] = a[:]
@@ -171,18 +258,23 @@ def _gf_numeric_margin_core(
                 if diff > err_max:
                     err_max = diff
             delta[m] = end - am
+        finite = True
         for m in range(M):
             Gm = G[m]
             upd = 0.0
             for mm in range(M):
                 upd += Gm[mm] * delta[mm]
-            a[m] = a[m] + upd / M
-            C[m] += delta[m]
-        if (r + 1) % stride == 0 or r + 1 == rounds:
+            a[m] = am = a[m] + upd / M
+            C[m] = cm = C[m] + delta[m]
+            if not (isfinite(am) and isfinite(cm)):
+                finite = False
+        if not finite or (r + 1) % stride == 0 or r + 1 == rounds:
             a_hist[slot] = a[:]
             C_hist[slot] = C[:]
             r_hist[slot] = r + 1
             slot += 1
+        if not finite:
+            break
     return slot, err_max
 
 
@@ -195,10 +287,17 @@ def gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, probe=True, strid
     endpoint discrepancy against a half-resolution integration (0.0 when the
     probe is disabled).
     """
-    core = _gf_numeric_margin_core
-    gammas, G, a, work, hist = _kernel_args(core, _trace_slots(rounds, stride), 2, gammas, G, a0)
-    used, err_max = core(
-        gammas, G, a, float(eta), int(K), int(rounds), int(substeps), bool(probe), int(stride),
-        *work, *hist,
-    )
+    M, eta, K, rounds = len(gammas), float(eta), int(K), int(rounds)
+    substeps, probe, stride = int(substeps), bool(probe), int(stride)
+    lib = _library() if M * rounds * substeps >= C_MIN_WORK else None
+    gammas, G, a, work, hist = _kernel_args(
+        lib is not None, _trace_slots(rounds, stride), 2, gammas, G, a0)
+    if lib is None:
+        used, err_max = _gf_numeric_margin_core(
+            gammas, G, a, eta, K, rounds, substeps, probe, stride, *work, *hist)
+    else:
+        err = np.zeros(1)
+        used = lib.localgd_gf_numeric_margin(
+            M, gammas, G, a, eta, K, rounds, substeps, probe, stride, *work, *hist, err)
+        err_max = err[0]
     return _traced(hist, used) + (float(err_max),)

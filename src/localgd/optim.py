@@ -9,7 +9,7 @@ Two engines are available for local GD. The default "numpy" engine runs the
 generic d-dimensional recursion and collects the per-round drift/bias data the
 diagnostic checks consume. The "margin" engine is restricted to datasets with one
 sample per client; it runs the same recursion in the scalar margin
-representation (see _kernels; compiled when numba is installed), for warmup
+representation (see _kernels; compiled C on large runs), for warmup
 studies whose round counts reach into the millions, and does not collect
 drift/bias data.
 """
@@ -277,17 +277,18 @@ def _margin_geometry(dataset):
     return gammas, directions
 
 
-def _margin_traces(dataset, w0, U, rounds_traced, C_hist, eta, lyap=None):
+def _margin_traces(dataset, w0, U, rounds_traced, a_hist, C_hist, eta, lyap=None):
     """Traces of a margin-kernel history, whose slot idx holds w_r = w0 + U^T C / M.
 
     ``lyap(idx)``, if given, returns slot idx's (lyapunov, rho, a) triple once
     its iterate is known to be finite. Raises DivergenceError at the first
-    non-finite traced iterate; returns (traces, final), final being round R's.
+    slot whose iterate or projections a are non-finite (the kernels stop at
+    the first such round); returns (traces, final), final being round R's.
     """
     traces = []
     for idx, r in enumerate(rounds_traced):
         w_r = w0 + (U.T @ C_hist[idx]) / dataset.M
-        if not np.all(np.isfinite(w_r)):
+        if not (np.all(np.isfinite(w_r)) and np.all(np.isfinite(a_hist[idx]))):
             raise DivergenceError(int(r), traces)
         traces.append(_make_trace(losses.objective(dataset, w_r), w_r, int(r), eta,
                                   lyap=None if lyap is None else lyap(idx)))
@@ -300,10 +301,10 @@ def _run_margin_engine(dataset, config: RunConfig) -> RunResult:
     w0 = _initial_weights(dataset, config)
     a0 = U @ w0
     G = U @ U.T
-    rounds_traced, _a_hist, C_hist, C_sum, S_local = local_gd_margin(
+    rounds_traced, a_hist, C_hist, C_sum, S_local = local_gd_margin(
         gammas, G, a0, eta, config.K, config.R, stride=config.trace_every
     )
-    traces, final = _margin_traces(dataset, w0, U, rounds_traced, C_hist, eta)
+    traces, final = _margin_traces(dataset, w0, U, rounds_traced, a_hist, C_hist, eta)
     averaged = None
     if config.averaging == "uniform_average":
         coef = (C_sum + S_local / config.K) / config.R
@@ -455,7 +456,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
             config.gf_substeps, probe=True, stride=config.trace_every,
         )
         traces, final = _margin_traces(
-            dataset, w, U, rounds_traced, C_hist, eta,
+            dataset, w, U, rounds_traced, a_hist, C_hist, eta,
             lyap=lambda idx: _lyap_fields(gammas, etaK, a_hist[idx]),
         )
     else:

@@ -29,3 +29,11 @@ def separable_dataset(rng, M=2, n=3, d=4, offset=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _kernel_cache(tmp_path_factory):
+    """Build the C margin kernels into a per-session cache, not the user's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield

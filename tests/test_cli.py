@@ -181,6 +181,19 @@ class TestRun:
         assert [t["stage"] for t in doc["traces"][:4]] == [1, 1, 1, 2]
 
 
+    def test_numeric_flow_overflowing_step_is_not_a_traceback(self, synthetic_file, tmp_path,
+                                                              capsys):
+        # every RK4 substep after the first overflows exp and adds e / inf = 0,
+        # so the margins stay finite (about 3e297 after round 1) but leave the
+        # domain of the Lyapunov fields (|g * a| <= 700): a DomainError, which
+        # the exact flow also reports at this eta
+        for method in ("numeric", "exact"):
+            code = cli.main(["run", "--dataset", str(synthetic_file), "--optimizer", "local-gf",
+                             "--gf-method", method, "--eta", "1e300", "--K", "2", "--R", "5",
+                             "--out-dir", str(tmp_path), "--name", method])
+            assert code == cli.EXIT_USAGE, method
+            assert "outside representable range" in capsys.readouterr().err, method
+
 class TestSweep:
     def test_grid_and_index(self, synthetic_file, tmp_path):
         os.environ["LOCALGD_THREADS"] = "1"

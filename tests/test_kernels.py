@@ -1,15 +1,19 @@
-"""The margin-space kernels, on every path they run, bitwise against a reference.
+"""The margin-space kernels, on both backends, bitwise against a reference.
 
-Each kernel body runs in two representations: lists of Python floats (the
-fallback the public wrappers use without numba) and float64 arrays (what
-numba compiles). Both must reproduce, bit for bit, a plain-Python reference
-written straight from the recurrence, so a body that reorders its arithmetic
-fails here even when numba is absent.
+Each kernel runs as compiled C or as its plain-Python body (lists of Python
+floats). Both must reproduce, bit for bit, a plain-Python reference written
+straight from the recurrence, so a port that reorders its arithmetic fails
+here. ``_on(backend)`` sends every wrapper call to one of them.
 """
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localgd import _kernels
 
@@ -18,10 +22,21 @@ from localgd import _kernels
 CASES = [(2, 8, 40, 1), (3, 1, 50, 7), (3, 5, 23, 1000), (2, 3, 30, 4)]
 
 
-def _py_func(fn):
-    # numba-compiled dispatchers expose the original function as py_func;
-    # if numba is absent the fallback decorator left the function bare
-    return getattr(fn, "py_func", fn)
+@contextlib.contextmanager
+def _on(backend):
+    """Send every wrapper call to ``backend`` ("c" or "python") whatever its size."""
+    with pytest.MonkeyPatch.context() as mp:
+        if backend == "c":
+            if _kernels._library() is None:
+                pytest.skip("the C kernels cannot be built here")
+            mp.setattr(_kernels, "C_MIN_WORK", 0)
+        else:
+            mp.setattr(_kernels, "C_MIN_WORK", math.inf)
+        yield
+
+
+# the Python leg first, so it runs even where the C leg skips
+BACKENDS = ("python", "c")
 
 
 def _geometry(M, seed):
@@ -33,7 +48,8 @@ def _geometry(M, seed):
 
 
 def _reference_rounds(gammas, G, a0, rounds, stride, local):
-    """Rounds of ``local(m, a_m) -> end point`` then Gram averaging, in plain Python."""
+    """Rounds of ``local(m, a_m) -> end point`` then Gram averaging, in plain Python,
+    up to and including the first round that leaves a non-finite a or C."""
     M = len(gammas)
     a, C, C_sum = list(map(float, a0)), [0.0] * M, [0.0] * M
     r_hist, a_hist, C_hist = [0], [a[:]], [C[:]]
@@ -46,15 +62,18 @@ def _reference_rounds(gammas, G, a0, rounds, stride, local):
                 upd += G[m][mm] * delta[mm]
             a[m] = a[m] + upd / M
         C = [c + d for c, d in zip(C, delta)]
-        if (r + 1) % stride == 0 or r + 1 == rounds:
+        finite = all(map(math.isfinite, a + C))
+        if not finite or (r + 1) % stride == 0 or r + 1 == rounds:
             r_hist.append(r + 1)
             a_hist.append(a[:])
             C_hist.append(C[:])
+        if not finite:
+            break
     return r_hist, a_hist, C_hist, C_sum
 
 
 def _exp(x):
-    """math.exp, or inf where it overflows (what compiled code computes)."""
+    """math.exp, or inf where it overflows (what C's exp returns)."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -79,10 +98,10 @@ def _reference_local_gd(gammas, G, a0, eta, K, rounds, stride):
 def _reference_rk4(a, g, eta, t_total, substeps):
     h = t_total / substeps
     for _ in range(substeps):
-        k1 = eta * g / (1.0 + math.exp(g * a))
-        k2 = eta * g / (1.0 + math.exp(g * (a + 0.5 * h * k1)))
-        k3 = eta * g / (1.0 + math.exp(g * (a + 0.5 * h * k2)))
-        k4 = eta * g / (1.0 + math.exp(g * (a + h * k3)))
+        k1 = eta * g / (1.0 + _exp(g * a))
+        k2 = eta * g / (1.0 + _exp(g * (a + 0.5 * h * k1)))
+        k3 = eta * g / (1.0 + _exp(g * (a + 0.5 * h * k2)))
+        k4 = eta * g / (1.0 + _exp(g * (a + h * k3)))
         a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return a
 
@@ -101,94 +120,157 @@ def _reference_gf(gammas, G, a0, eta, K, rounds, substeps, stride):
     return r_hist, a_hist, C_hist, err[0]
 
 
-def _array_body(core, gammas, G, a0, rounds, stride, n_work, *scalars):
-    """Run a kernel body on float64 arrays, as numba compiles it."""
-    M, slots = len(gammas), _kernels._trace_slots(rounds, stride)
-    work = [np.zeros(M) for _ in range(n_work)]
-    hist = (np.zeros((slots, M)), np.zeros((slots, M)), np.zeros(slots, dtype=np.int64))
-    out = _py_func(core)(gammas.copy(), G.copy(), a0.copy(), *scalars, *work, *hist)
-    used = out[0] if isinstance(out, tuple) else out
-    return [h[:used] for h in (hist[2], hist[0], hist[1])], work, out
-
-
-def _fallback(monkeypatch, name, seen):
-    """Bind the plain body under ``name`` and record the element types it is fed."""
-    body = _py_func(getattr(_kernels, name))
-
-    def spy(gammas, G, a, *rest):
-        seen.update({type(gammas), type(G[0]), type(a), type(a[0]), type(G[0][0])})
-        return body(gammas, G, a, *rest)
-
-    monkeypatch.setattr(_kernels, name, spy)
-
-
 def _assert_bitwise(got, want, case):
+    assert len(got) == len(want), case
     for g, w in zip(got, want):
         g, w = np.asarray(g), np.asarray(w)
         assert g.shape == w.shape, case
         assert g.tobytes() == w.astype(g.dtype).tobytes(), case
 
 
-def test_local_gd_kernel_matches_python_body(monkeypatch):
-    for seed, (M, K, rounds, stride) in enumerate(CASES):
-        case = (M, K, rounds, stride)
-        gammas, G, a0 = _geometry(M, seed)
-        eta = 1.7  # not a power of two, so eta * g rounds
-        a0_before = a0.copy()
-        bound = _kernels.local_gd_margin(gammas, G, a0, eta, K, rounds, stride)
-        seen = set()
-        with monkeypatch.context() as mp:
-            _fallback(mp, "_local_gd_margin_core", seen)
-            lists = _kernels.local_gd_margin(gammas, G, a0, eta, K, rounds, stride)
-        assert seen == {list, float}, case
-        hist, work, _ = _array_body(
-            _kernels._local_gd_margin_core, gammas, G, a0, rounds, stride, 4, eta, K, rounds, stride
-        )
-        arrays = hist + [work[1], work[2]]
-        reference = _reference_local_gd(gammas, G, a0, eta, K, rounds, stride)
-        np.testing.assert_array_equal(a0, a0_before)
-        assert lists[0].dtype == np.int64 and lists[1].dtype == np.float64
-        for other in (bound, arrays, reference):
-            _assert_bitwise(lists, other, case)
+def test_local_gd_kernel_matches_python_body():
+    for backend in BACKENDS:
+        for seed, (M, K, rounds, stride) in enumerate(CASES):
+            case = (backend, M, K, rounds, stride)
+            gammas, G, a0 = _geometry(M, seed)
+            eta = 1.7  # not a power of two, so eta * g rounds
+            a0_before = a0.copy()
+            with _on(backend):
+                got = _kernels.local_gd_margin(gammas, G, a0, eta, K, rounds, stride)
+            np.testing.assert_array_equal(a0, a0_before)
+            assert got[0].dtype == np.int64 and got[1].dtype == np.float64
+            want = _reference_local_gd(gammas, G, a0, eta, K, rounds, stride)
+            _assert_bitwise(got, want, case)
 
 
 def test_local_gd_kernel_overflowing_step_adds_zero():
     # exp(g * a) overflows past g * a > 709: from a start that far out
-    # (client 0), and after a first step at eta = 1e300 (every client)
+    # (client 0), and after a first step at eta = 1e300 (every client); the
+    # flow kernel takes the same rule
     gammas, G, _ = _geometry(3, 7)
+    K, rounds, stride, substeps = 4, 6, 1, 4
     for eta, a0 in ((1.7, np.array([1000.0, -0.2, 0.4])), (1e300, np.array([0.1, -0.3, 0.2]))):
-        K, rounds, stride = 4, 6, 1
-        lists = _kernels.local_gd_margin(gammas, G, a0, eta, K, rounds, stride)
-        hist, work, _ = _array_body(
-            _kernels._local_gd_margin_core, gammas, G, a0, rounds, stride, 4, eta, K, rounds, stride
-        )
-        reference = _reference_local_gd(gammas, G, a0, eta, K, rounds, stride)
-        for other in (hist + [work[1], work[2]], reference):
-            _assert_bitwise(lists, other, eta)
-        assert np.all(np.isfinite(lists[2])), eta
+        lgd = _reference_local_gd(gammas, G, a0, eta, K, rounds, stride)
+        gf = _reference_gf(gammas, G, a0, eta, K, rounds, substeps, stride)
+        for backend in BACKENDS:
+            with _on(backend):
+                got = _kernels.local_gd_margin(gammas, G, a0, eta, K, rounds, stride)
+                got_gf = _kernels.gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps,
+                                                    True, stride)
+            _assert_bitwise(got, lgd, (backend, eta))
+            assert np.all(np.isfinite(got[2])), (backend, eta)
+            _assert_bitwise(got_gf, gf, (backend, eta, "gf"))
 
 
-def test_gf_kernel_matches_python_body(monkeypatch):
-    for seed, (M, K, rounds, stride) in enumerate(CASES):
-        substeps = 16 if K > 1 else 1
-        case = (M, K, rounds, stride, substeps)
-        gammas, G, a0 = _geometry(M, seed)
-        eta = 1.3  # not a power of two, so eta * g rounds
-        bound = _kernels.gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, True, stride)
-        seen = set()
-        with monkeypatch.context() as mp:
-            _fallback(mp, "_gf_numeric_margin_core", seen)
-            lists = _kernels.gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, True, stride)
-        assert seen == {list, float}, case
-        hist, _, (_, err) = _array_body(
-            _kernels._gf_numeric_margin_core, gammas, G, a0, rounds, stride, 2,
-            eta, K, rounds, substeps, True, stride,
-        )
-        reference = _reference_gf(gammas, G, a0, eta, K, rounds, substeps, stride)
-        for other in (bound, hist + [err], reference):
-            _assert_bitwise(lists[:3], other[:3], case)
-            assert lists[3] == other[3], case
-        assert (lists[3] > 0.0) == (substeps >= 2), case
+def test_kernels_stop_at_the_first_non_finite_round():
+    # three identical clients each step to 8.5e307, so the averaged margin
+    # overflows in round 1 while C stays finite; later rounds would be NaN
+    gammas, G, a0 = np.ones(3), np.ones((3, 3)), np.zeros(3)
+    for stride in (1, 4):
+        with np.errstate(over="ignore"):
+            lgd = _reference_local_gd(gammas, G, a0, 1.7e308, 1, 10, stride)
+            gf = _reference_gf(gammas, G, a0, 1.7e308, 1, 10, 1, stride)
+        for backend in BACKENDS:
+            with _on(backend):
+                got = _kernels.local_gd_margin(gammas, G, a0, 1.7e308, 1, 10, stride)
+                got_gf = _kernels.gf_numeric_margin(gammas, G, a0, 1.7e308, 1, 10, 1, True, stride)
+            _assert_bitwise(got, lgd, (backend, stride))
+            _assert_bitwise(got_gf, gf, (backend, stride, "gf"))
+            assert got[0].tolist() == got_gf[0].tolist() == [0, 1], (backend, stride)
+
+
+def test_gf_kernel_matches_python_body():
+    for backend in BACKENDS:
+        for seed, (M, K, rounds, stride) in enumerate(CASES):
+            substeps = 16 if K > 1 else 1
+            case = (backend, M, K, rounds, stride, substeps)
+            gammas, G, a0 = _geometry(M, seed)
+            eta = 1.3  # not a power of two, so eta * g rounds
+            with _on(backend):
+                got = _kernels.gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, True,
+                                                 stride)
+            want = _reference_gf(gammas, G, a0, eta, K, rounds, substeps, stride)
+            _assert_bitwise(got, want, case)
+            assert (got[3] > 0.0) == (substeps >= 2), case
+
+
+def _both(fn, *args):
+    """``fn(*args)`` on C and on the Python body."""
+    out = []
+    for backend in ("c", "python"):
+        with _on(backend):
+            out.append(fn(*args))
+    return out
+
+
+_RUN = dict(
+    seed=st.integers(0, 2**32 - 1), M=st.integers(1, 4), K=st.integers(1, 19),
+    rounds=st.integers(0, 199), stride=st.integers(1, 6), eta=st.floats(1e-3, 1e300),
+)
+
+
+@given(**_RUN)
+@settings(max_examples=60, deadline=None)
+def test_local_gd_c_matches_python(seed, M, K, rounds, stride, eta):
+    gammas, G, a0 = _geometry(M, seed)
+    c, py = _both(_kernels.local_gd_margin, gammas, G, a0, eta, K, rounds, stride)
+    _assert_bitwise(c, py, (seed, M, K, rounds, stride, eta))
+
+
+@given(substeps=st.integers(1, 8), probe=st.booleans(), **_RUN)
+@settings(max_examples=60, deadline=None)
+def test_gf_c_matches_python(seed, M, K, rounds, stride, eta, substeps, probe):
+    gammas, G, a0 = _geometry(M, seed)
+    c, py = _both(_kernels.gf_numeric_margin, gammas, G, a0, eta, K, rounds, substeps, probe,
+                  stride)
+    _assert_bitwise(c, py, (seed, M, K, rounds, stride, eta, substeps, probe))
+
+
+@pytest.fixture
+def fresh_library(monkeypatch, tmp_path):
+    """An empty kernel cache, and no library loaded before or after the test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernels._library.cache_clear()
+    yield tmp_path
+    _kernels._library.cache_clear()
+
+
+def test_library_is_built_once_into_the_cache(fresh_library):
+    if _kernels._library() is None:
+        pytest.skip("the C kernels cannot be built here")
+    built = sorted(p.name for p in (fresh_library / "localgd").iterdir())
+    assert len(built) == 1 and built[0].startswith("kernels-") and built[0].endswith(".so")
+    _kernels._library.cache_clear()
+    assert _kernels._library() is not None
+    assert sorted(p.name for p in (fresh_library / "localgd").iterdir()) == built
+
+
+def test_without_a_compiler_the_python_body_runs_and_warns_once(fresh_library, monkeypatch):
+    gammas, G, a0 = _geometry(3, 0)
+    monkeypatch.setattr(_kernels, "C_MIN_WORK", math.inf)
+    want = _kernels.local_gd_margin(gammas, G, a0, 1.7, 4, 30, 3)
+    monkeypatch.setattr(_kernels, "C_MIN_WORK", 0)
+    # no compiler on PATH, and one that fails (``false`` exits 1 at once)
+    for cc in ("localgd-no-such-compiler", "false"):
+        monkeypatch.setattr(_kernels, "_CC", cc)
+        _kernels._library.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                got = _kernels.local_gd_margin(gammas, G, a0, 1.7, 4, 30, 3)
+                _assert_bitwise(got, want, cc)
+        assert [w.category for w in caught] == [RuntimeWarning], cc
+    assert list(fresh_library.glob("localgd/*")) == []
+
+
+def test_small_runs_never_load_the_library(monkeypatch):
+    def unreachable():
+        raise AssertionError("a run below C_MIN_WORK reached the C library")
+
+    monkeypatch.setattr(_kernels, "_library", unreachable)
+    gammas, G, a0 = _geometry(2, 0)
+    _kernels.local_gd_margin(gammas, G, a0, 1.0, 1, 1)
+    _kernels.gf_numeric_margin(gammas, G, a0, 1.0, 1, 1, 8)
 
 
 def test_trace_slots_cover_all_strides():
@@ -211,3 +293,12 @@ def test_scalar_flow_matches_full_dimensional_integrator():
     w_end = _rk4_client_flow(Z, w0, eta, float(K), substeps)
     a_end = _kernels._rk4_flow(float(w0 @ u), gamma, eta, float(K), substeps)
     np.testing.assert_allclose(w_end, w0 + (a_end - w0 @ u) * u, atol=1e-12)
+
+
+def test_mismatched_shapes_are_rejected():
+    # the C kernels index G and a by len(gammas); a wrong shape must not reach them
+    gammas, G, a0 = _geometry(3, 0)
+    for bad in ((gammas, G[:, :2], a0), (gammas, G, a0[:2]), (gammas[:2], G, a0)):
+        for backend in BACKENDS:
+            with _on(backend), pytest.raises(ValueError, match="Gram matrix"):
+                _kernels.local_gd_margin(*bad, 1.0, 2, 3)

@@ -136,6 +136,19 @@ class TestRunLocalGd:
         assert len(err.value.traces) == 1
         assert err.value.traces[0].global_loss == pytest.approx(math.log(2), abs=1e-15)
 
+    def test_divergence_round_does_not_depend_on_tracing(self):
+        # the same run as above: both engines report round 1, not the first
+        # traced round, and keep the traces before it
+        z = np.array([[1.0, 0.0]])
+        ds = FederatedDataset(clients=[z.copy(), z.copy(), z.copy()], d=2)
+        for engine in ("numpy", "margin"):
+            for trace_every in (1, 4):
+                cfg = RunConfig(R=10, K=1, eta=1.7e308, engine=engine, trace_every=trace_every)
+                with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+                    run_local_gd(ds, cfg)
+                assert err.value.round_index == 1, (engine, trace_every)
+                assert [t.r for t in err.value.traces] == [0], (engine, trace_every)
+
     def test_trace_thinning(self, rng):
         ds = random_dataset(rng)
         res = run_local_gd(ds, RunConfig(R=25, K=2, eta=0.5, trace_every=10))
