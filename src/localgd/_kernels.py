@@ -210,7 +210,8 @@ def _exp(x):
         return math.inf
 
 
-def _rk4_steps(a, g, eta, t_total, substeps, exp):
+def _rk4_flow(a, g, eta, t_total, substeps):
+    exp = _exp  # an overflowing exp is inf, as in C, so its step adds e / inf = 0
     h = t_total / substeps
     half_h = 0.5 * h
     sixth_h = h / 6.0
@@ -225,15 +226,6 @@ def _rk4_steps(a, g, eta, t_total, substeps, exp):
         k4 = e / (1.0 + exp(g * a4))
         a = a + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return a
-
-
-def _rk4_flow(a, g, eta, t_total, substeps):
-    # math.exp runs at full speed; the rare run that overflows is redone
-    # from its start with the overflow-safe _exp
-    try:
-        return _rk4_steps(a, g, eta, t_total, substeps, math.exp)
-    except OverflowError:
-        return _rk4_steps(a, g, eta, t_total, substeps, _exp)
 
 
 def _gf_numeric_margin_core(

@@ -1,8 +1,9 @@
 """Command-line front end: dataset generation, runs, sweeps, checks, envelopes.
 
-Exit codes: 0 success, 1 usage or invalid input, 2 divergence (partial traces
-are still written), 3 check violation, 4 I/O or file-format failure. A sweep
-cell records the code `run` would return with the same flags.
+Exit codes: 0 success, 1 usage or invalid input, 2 divergence or flow margins
+out of range (partial traces are still written), 3 check violation, 4 I/O or
+file-format failure. A sweep cell records the code `run` would return with the
+same flags.
 
 A sweep reads and verifies its dataset once, in the parent process, and hands
 every cell the parsed dataset. The environment variable LOCALGD_THREADS caps

@@ -6,7 +6,8 @@ class LocalGDError(Exception):
 
 
 class DivergenceError(LocalGDError, RuntimeError):
-    """A run produced non-finite weights.
+    """A run produced non-finite weights, or a flow run margins beyond the
+    representable range of its surrogate losses.
 
     Carries the round index at which divergence was detected and the traces
     collected up to (and excluding) that round, so partial results survive.

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import losses, specialfn
 from ._kernels import gf_numeric_margin, local_gd_margin
-from .errors import DivergenceError
+from .errors import DivergenceError, DomainError
 
 __all__ = [
     "RunConfig",
@@ -208,12 +208,16 @@ def _round_loop(dataset, w, config, eta, step, lyap=None):
     ObjectiveReport if w is traced, else None, and bounds, when not None, is
     the round's (drift, bias), which goes on w's trace. ``lyap()``, if given,
     returns the current (lyapunov, rho, a) triple. Raises DivergenceError at
-    the first non-finite iterate; returns (traces, final).
+    the first non-finite iterate, or at the first round whose flow state
+    leaves the special functions' domain; returns (traces, final).
     """
     rep = losses.objective(dataset, w)
     traces = [_make_trace(rep, w, 0, eta, lyap=None if lyap is None else lyap())]
     for r in range(config.R):
-        w_next, bounds = step(w, rep)
+        try:
+            w_next, bounds = step(w, rep)
+        except DomainError as err:
+            raise _out_of_domain(r + 1, traces, err) from None
         if bounds is not None:
             traces[-1].drift, traces[-1].bias = bounds
         if not np.all(np.isfinite(w_next)):
@@ -277,21 +281,33 @@ def _margin_geometry(dataset):
     return gammas, directions
 
 
+def _out_of_domain(r, traces, err):
+    """Round r's iterate is finite, but its flow margins are beyond what the
+    surrogate losses can represent: the run ends there, as on divergence."""
+    return DivergenceError(r, traces, f"flow margins out of range at round {r}: {err}")
+
+
 def _margin_traces(dataset, w0, U, rounds_traced, a_hist, C_hist, eta, lyap=None):
     """Traces of a margin-kernel history, whose slot idx holds w_r = w0 + U^T C / M.
 
     ``lyap(idx)``, if given, returns slot idx's (lyapunov, rho, a) triple once
     its iterate is known to be finite. Raises DivergenceError at the first
     slot whose iterate or projections a are non-finite (the kernels stop at
-    the first such round); returns (traces, final), final being round R's.
+    the first such round), or, after round 0, whose Lyapunov fields leave the
+    special functions' domain; returns (traces, final), final being round R's.
     """
     traces = []
     for idx, r in enumerate(rounds_traced):
         w_r = w0 + (U.T @ C_hist[idx]) / dataset.M
         if not (np.all(np.isfinite(w_r)) and np.all(np.isfinite(a_hist[idx]))):
             raise DivergenceError(int(r), traces)
-        traces.append(_make_trace(losses.objective(dataset, w_r), w_r, int(r), eta,
-                                  lyap=None if lyap is None else lyap(idx)))
+        try:
+            fields = None if lyap is None else lyap(idx)
+        except DomainError as err:
+            if idx == 0:
+                raise  # an invalid start, as the exact flow's set-up reports it
+            raise _out_of_domain(int(r), traces, err) from None
+        traces.append(_make_trace(losses.objective(dataset, w_r), w_r, int(r), eta, lyap=fields))
     return traces, w_r
 
 

@@ -180,19 +180,24 @@ class TestRun:
         assert doc["result"]["diverged"] is True
         assert [t["stage"] for t in doc["traces"][:4]] == [1, 1, 1, 2]
 
-
-    def test_numeric_flow_overflowing_step_is_not_a_traceback(self, synthetic_file, tmp_path,
-                                                              capsys):
-        # every RK4 substep after the first overflows exp and adds e / inf = 0,
-        # so the margins stay finite (about 3e297 after round 1) but leave the
-        # domain of the Lyapunov fields (|g * a| <= 700): a DomainError, which
-        # the exact flow also reports at this eta
+    def test_flow_margins_out_of_range_end_the_run_with_partial_traces(self, synthetic_file,
+                                                                        tmp_path, capsys):
+        # at eta = 1e300 round 1 moves the margins to about 3e297: the iterate
+        # is finite (every RK4 substep after the first overflows exp and adds
+        # e / inf = 0), but g * a lies far outside the surrogate losses' range
+        # (|g * a| <= 700), so the run ends at round 1 with round 0's trace
         for method in ("numeric", "exact"):
             code = cli.main(["run", "--dataset", str(synthetic_file), "--optimizer", "local-gf",
                              "--gf-method", method, "--eta", "1e300", "--K", "2", "--R", "5",
                              "--out-dir", str(tmp_path), "--name", method])
-            assert code == cli.EXIT_USAGE, method
-            assert "outside representable range" in capsys.readouterr().err, method
+            assert code == cli.EXIT_DIVERGENCE, method
+            assert "divergence at round 1" in capsys.readouterr().err, method
+            doc = json.loads((tmp_path / f"{method}.json").read_text())
+            assert doc["result"]["divergence_round"] == 1, method
+            assert [t["r"] for t in doc["traces"]] == [0], method
+            rows = (tmp_path / f"{method}.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in rows if row[:1].isdigit()] == ["0"], method
+
 
 class TestSweep:
     def test_grid_and_index(self, synthetic_file, tmp_path):

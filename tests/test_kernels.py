@@ -120,6 +120,22 @@ def _reference_gf(gammas, G, a0, eta, K, rounds, substeps, stride):
     return r_hist, a_hist, C_hist, err[0]
 
 
+def _spy(monkeypatch, name, seen):
+    """Wrap the Python body ``name`` to record the types of the inputs it is fed."""
+    body = getattr(_kernels, name)
+
+    def spy(gammas, G, a, *rest):
+        seen.update(map(type, (gammas, gammas[0], G, G[0], G[0][0], a, a[0])))
+        return body(gammas, G, a, *rest)
+
+    monkeypatch.setattr(_kernels, name, spy)
+
+
+# what the Python bodies must be fed: lists of Python floats, several times
+# faster to step through than numpy scalars; the C path never calls them
+FED = {"python": {list, float}, "c": set()}
+
+
 def _assert_bitwise(got, want, case):
     assert len(got) == len(want), case
     for g, w in zip(got, want):
@@ -128,15 +144,18 @@ def _assert_bitwise(got, want, case):
         assert g.tobytes() == w.astype(g.dtype).tobytes(), case
 
 
-def test_local_gd_kernel_matches_python_body():
+def test_local_gd_kernel_matches_python_body(monkeypatch):
     for backend in BACKENDS:
         for seed, (M, K, rounds, stride) in enumerate(CASES):
             case = (backend, M, K, rounds, stride)
             gammas, G, a0 = _geometry(M, seed)
             eta = 1.7  # not a power of two, so eta * g rounds
             a0_before = a0.copy()
-            with _on(backend):
+            seen = set()
+            with _on(backend), monkeypatch.context() as mp:
+                _spy(mp, "_local_gd_margin_core", seen)
                 got = _kernels.local_gd_margin(gammas, G, a0, eta, K, rounds, stride)
+            assert seen == FED[backend], case
             np.testing.assert_array_equal(a0, a0_before)
             assert got[0].dtype == np.int64 and got[1].dtype == np.float64
             want = _reference_local_gd(gammas, G, a0, eta, K, rounds, stride)
@@ -179,16 +198,19 @@ def test_kernels_stop_at_the_first_non_finite_round():
             assert got[0].tolist() == got_gf[0].tolist() == [0, 1], (backend, stride)
 
 
-def test_gf_kernel_matches_python_body():
+def test_gf_kernel_matches_python_body(monkeypatch):
     for backend in BACKENDS:
         for seed, (M, K, rounds, stride) in enumerate(CASES):
             substeps = 16 if K > 1 else 1
             case = (backend, M, K, rounds, stride, substeps)
             gammas, G, a0 = _geometry(M, seed)
             eta = 1.3  # not a power of two, so eta * g rounds
-            with _on(backend):
+            seen = set()
+            with _on(backend), monkeypatch.context() as mp:
+                _spy(mp, "_gf_numeric_margin_core", seen)
                 got = _kernels.gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, True,
                                                  stride)
+            assert seen == FED[backend], case
             want = _reference_gf(gammas, G, a0, eta, K, rounds, substeps, stride)
             _assert_bitwise(got, want, case)
             assert (got[3] > 0.0) == (substeps >= 2), case
