@@ -8,6 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,15 +110,16 @@ def objective(dataset, w) -> ObjectiveReport:
     grad = np.zeros(dataset.d)
     for Z in dataset.clients:
         scores = Z @ w
-        values.append(float(np.mean(ell(scores))))
+        # np.mean's and np.min's own reductions, without their wrappers
+        values.append(float(np.add.reduce(ell(scores)) / Z.shape[0]))
         grads.append((Z.T @ ell_prime(scores)) / Z.shape[0])
         grad += grads[-1]
-        margins.append(np.min(scores))
+        margins.append(np.minimum.reduce(scores))
     grad /= M
     return ObjectiveReport(
         value=float(sum(values) / M),
         grad=grad,
-        grad_norm=float(np.linalg.norm(grad)),
+        grad_norm=math.sqrt(grad @ grad),  # np.linalg.norm's own formula
         per_client_values=values,
         per_client_grads=grads,
         min_margin=float(min(margins)),

@@ -16,6 +16,7 @@ drift/bias data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -140,7 +141,7 @@ def _make_trace(rep, w, r, eta, stage=1, lyap=None):
         global_loss=rep.value,
         client_losses=rep.per_client_values,
         grad_norm=rep.grad_norm,
-        iterate_norm=float(np.linalg.norm(w)),
+        iterate_norm=math.sqrt(w @ w),
         min_margin=rep.min_margin,
         eta_used=eta,
         stage=stage,
@@ -175,8 +176,9 @@ def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
             if collect or k + 1 < K:
                 g = (Z.T @ losses.ell_prime(Z @ w)) / Z.shape[0]
             if collect:
-                drift[-1] = max(drift[-1], float(np.linalg.norm(w - w_bar)))
-                bias[-1] = max(bias[-1], float(np.linalg.norm(g - g_ref)))
+                dw, dg = w - w_bar, g - g_ref
+                drift[-1] = max(drift[-1], math.sqrt(dw @ dw))
+                bias[-1] = max(bias[-1], math.sqrt(dg @ dg))
         finals.append(w)
         if sums:
             iterate_sum = iterate_sum + client_sum

@@ -37,7 +37,14 @@ def lambert_w_exp(u: float) -> float:
     Newton iteration on f(w) = w + ln(w) - u, seeded with w = u - ln(max(u, 1))
     for u > 2 and w = exp(u - 1) (clamped away from zero) otherwise. f is
     concave and increasing, so Newton converges monotonically once above the
-    root; a bisection fallback guards the (unobserved) stall case.
+    root. It stops when a step moves w by at most 1e-16 relative, which is
+    below half an ulp, so Newton can instead settle into a 1-ulp two-cycle;
+    bisection (``_bisect_w``) then finishes. That happened on 62 and 77 of
+    100k calls in two samples of u uniform in [-700, 700]. Two early exits
+    keep the result bitwise what the full 50 Newton steps and 200 halvings
+    would give: a two-cycle hands bisection at once the iterate the 50th
+    step would hold, and bisection stops once its midpoint equals an
+    endpoint.
     """
     u = float(u)
     if not math.isfinite(u):
@@ -52,7 +59,8 @@ def lambert_w_exp(u: float) -> float:
         w = u - math.log(max(u, 1.0))
     else:
         w = max(math.exp(u - 1.0), 5e-324)
-    for _ in range(_NEWTON_STALL):
+    w_prev = math.nan
+    for i in range(_NEWTON_STALL):
         f = w + math.log(w) - u
         step = f * w / (w + 1.0)
         wn = w - step
@@ -60,8 +68,17 @@ def lambert_w_exp(u: float) -> float:
             wn = max(w * 0.5, 5e-324)
         if abs(wn - w) <= 1e-16 * abs(wn):
             return wn
-        w = wn
+        if wn == w_prev:
+            # two-cycle: the stop test above fails on both of its pairs
+            return _bisect_w(u, _stalled_iterate(i, wn, w))
+        w_prev, w = w, wn
     return _bisect_w(u, w)
+
+
+def _stalled_iterate(i, new, old):
+    """The iterate Newton would hold after _NEWTON_STALL steps, given that
+    step i (from 0) closed a two-cycle between ``old`` and ``new``."""
+    return new if (_NEWTON_STALL - 1 - i) % 2 == 0 else old
 
 
 def _bisect_w(u, w_hint):
@@ -72,6 +89,10 @@ def _bisect_w(u, w_hint):
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # lo and hi are equal or adjacent floats: the loop would end
+            # returning this same mid
+            return mid
         if mid + math.log(mid) < u:
             lo = mid
         else:
@@ -87,7 +108,19 @@ def log_phi(b: float, x: float) -> float:
     With u = b + exp(x) + x and w = W(exp(u)), the result is u - w - x. That
     difference is obtained directly by Newton on its residual equation
     exp(x)*(exp(L) - 1) + L = b, which is cancellation-free even when exp(x)
-    dwarfs the result. Nonnegative; zero exactly when b = 0.
+    dwarfs the result. Nonnegative; zero exactly when b = 0; finite for every
+    finite b >= 0 and |x| <= 700, also where the root L lies past exp's
+    overflow threshold (large b with very negative x).
+
+    Newton stops when a step moves L by at most 1e-16 relative, which is
+    below half an ulp, so it can instead settle into a 1-ulp two-cycle;
+    bisection (``_bisect_log_phi``) then finishes. That happened on 5538 of
+    40080 calls (13.8%) of the exact flow on 20 random two-client geometries,
+    and on 6-11% of calls with random (b, x). Two early exits keep the
+    result bitwise what the full 50 Newton steps and 200 halvings would give:
+    a two-cycle hands bisection at once the iterate the 50th step would
+    hold, and bisection stops once its midpoint equals an endpoint. Longer
+    cycles are rarer (about 1 in 200 fallbacks) and still run all 50 steps.
     """
     b = float(b)
     x = float(x)
@@ -105,25 +138,47 @@ def log_phi(b: float, x: float) -> float:
     ratio = b / y
     exp_branch = math.log1p(ratio) if math.isfinite(ratio) else math.log(b) - x
     L = min(b / (y + 1.0), exp_branch)
-    for _ in range(_NEWTON_STALL):
-        g = y * math.expm1(L) + L - b
-        dg = y * math.exp(L) + 1.0
-        Ln = L - g / dg
+    L_prev = math.nan
+    for i in range(_NEWTON_STALL):
+        try:
+            g = y * math.expm1(L) + L - b
+            dg = y * math.exp(L) + 1.0
+            Ln = L - g / dg
+        except OverflowError:
+            # L is past exp's range, where y*expm1(L) = exp(x + L) to within
+            # a factor 1 - e^-L: take the step with g and dg divided by it
+            q = math.exp(-(x + L))
+            Ln = L - (1.0 + (L - b) * q) / (1.0 + q)
         if Ln < 0.0:
             Ln = L * 0.5
         if abs(Ln - L) <= 1e-16 * max(abs(Ln), 1e-300):
             return max(Ln, 0.0)
-        L = Ln
-    return _bisect_log_phi(b, y, L)
+        if Ln == L_prev:
+            # two-cycle: the stop test above fails on both of its pairs
+            return _bisect_log_phi(b, x, y, _stalled_iterate(i, Ln, L))
+        L_prev, L = L, Ln
+    return _bisect_log_phi(b, x, y, L)
 
 
-def _bisect_log_phi(b, y, hint):
+def _below_root(b, x, y, L):
+    """Whether g(L) = y*expm1(L) + L - b is negative, also past exp's range."""
+    try:
+        return y * math.expm1(L) + L < b
+    except OverflowError:
+        return (b - L) * math.exp(-(x + L)) > 1.0
+
+
+def _bisect_log_phi(b, x, y, hint):
     lo, hi = 0.0, max(hint, 1e-300)
-    while y * math.expm1(hi) + hi < b:
+    while _below_root(b, x, y, hi):
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if y * math.expm1(mid) + mid < b:
+        if mid == lo or mid == hi:
+            # lo and hi are equal or adjacent floats: the loop would end
+            # returning this same mid
+            return mid
+        if _below_root(b, x, y, mid):
             lo = mid
         else:
             hi = mid

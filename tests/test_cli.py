@@ -198,6 +198,23 @@ class TestRun:
             rows = (tmp_path / f"{method}.csv").read_text().splitlines()
             assert [row.split(",")[0] for row in rows if row[:1].isdigit()] == ["0"], method
 
+    def test_flow_surrogate_past_exp_range_is_traced(self, synthetic_file, tmp_path, capsys):
+        # w0 = (-693.5, 0) puts client 1 (gamma 1) at g * a = -690 with
+        # b = eta*K*g^2 = 1e10, so its surrogate loss L ~ 713 lies past exp's
+        # overflow threshold; the exact flow runs all rounds, and RK4 at
+        # eta = 5e9 blows up in round 1, which the numeric flow reports as
+        # divergence after round 0's trace
+        for method, code, rounds in (("exact", cli.EXIT_OK, 6), ("numeric", cli.EXIT_DIVERGENCE, 1)):
+            got = cli.main(["run", "--dataset", str(synthetic_file), "--optimizer", "local-gf",
+                            "--gf-method", method, "--eta", "5e9", "--K", "2", "--R", "5",
+                            "--w0=-693.5,0", "--out-dir", str(tmp_path), "--name", method])
+            assert got == code, (method, capsys.readouterr().err)
+            doc = json.loads((tmp_path / f"{method}.json").read_text())
+            assert len(doc["traces"]) == rounds, method
+            lyap = doc["traces"][0]["lyapunov"]
+            assert 709.78 < lyap < 714.0, method
+            assert (tmp_path / f"{method}.csv").exists(), method
+
 
 class TestSweep:
     def test_grid_and_index(self, synthetic_file, tmp_path):

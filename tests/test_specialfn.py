@@ -216,6 +216,190 @@ class TestLogPhi:
             assert second <= 1e-9
 
 
+class TestLogPhiPastExpRange:
+    # roots past exp's overflow threshold (L > 709.78): large b with a very
+    # negative x, where y*expm1(L) alone overflows although L is representable
+    @pytest.mark.parametrize("b, x", [
+        (1e10, -690.0),
+        (2e4, -700.0),
+        (1e20, -699.0),
+        (1e300, -700.0),
+        (1.7976931348623157e308, -1.0),
+        (1.7976931348623157e308, -700.0),
+    ])
+    def test_finite_and_matches_arbitrary_precision(self, b, x):
+        got = specialfn.log_phi(b, x)
+        assert math.isfinite(got) and got > 709.78
+        with mpmath.workdps(400):
+            u = mpmath.mpf(b) + mpmath.exp(mpmath.mpf(x)) + mpmath.mpf(x)
+            ref = u - mpmath.lambertw(mpmath.exp(u)) - mpmath.mpf(x)
+            assert float(abs(mpmath.mpf(got) - ref) / ref) <= 1e-15
+
+    def test_finite_over_the_whole_domain(self, rng):
+        for _ in range(2000):
+            b = float(10.0 ** rng.uniform(-300, 308.25))
+            x = float(rng.uniform(-700, 700))
+            assert math.isfinite(specialfn.log_phi(b, x)), (b, x)
+
+
+# The solvers as they were before their early exits, verbatim: the early exits
+# must leave every bit of every result unchanged.
+
+_NEWTON_STALL = 50
+
+
+def _ref_lambert_w_exp(u: float) -> float:
+    u = float(u)
+    if not math.isfinite(u):
+        raise ValueError("u must be finite")
+    if u < -700.0:
+        w = math.exp(u)
+        return max(w * (1.0 - w), 5e-324)
+    if u > 2.0:
+        w = u - math.log(max(u, 1.0))
+    else:
+        w = max(math.exp(u - 1.0), 5e-324)
+    for _ in range(_NEWTON_STALL):
+        f = w + math.log(w) - u
+        step = f * w / (w + 1.0)
+        wn = w - step
+        if wn <= 0.0:
+            wn = max(w * 0.5, 5e-324)
+        if abs(wn - w) <= 1e-16 * abs(wn):
+            return wn
+        w = wn
+    return _ref_bisect_w(u, w)
+
+
+def _ref_bisect_w(u, w_hint):
+    lo, hi = w_hint, w_hint
+    while lo + math.log(lo) > u:
+        lo *= 0.5
+    while hi + math.log(hi) < u:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid + math.log(mid) < u:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _ref_log_phi(b: float, x: float) -> float:
+    b = float(b)
+    x = float(x)
+    if b < 0.0:
+        raise ValueError(f"b must be nonnegative, got {b}")
+    if not math.isfinite(x) or abs(x) > 700.0:
+        raise DomainError(f"x={x} outside representable range (|x| <= 700)")
+    if b == 0.0:
+        return 0.0
+    y = math.exp(x)
+    ratio = b / y
+    exp_branch = math.log1p(ratio) if math.isfinite(ratio) else math.log(b) - x
+    L = min(b / (y + 1.0), exp_branch)
+    for _ in range(_NEWTON_STALL):
+        g = y * math.expm1(L) + L - b
+        dg = y * math.exp(L) + 1.0
+        Ln = L - g / dg
+        if Ln < 0.0:
+            Ln = L * 0.5
+        if abs(Ln - L) <= 1e-16 * max(abs(Ln), 1e-300):
+            return max(Ln, 0.0)
+        L = Ln
+    return _ref_bisect_log_phi(b, y, L)
+
+
+def _ref_bisect_log_phi(b, y, hint):
+    lo, hi = 0.0, max(hint, 1e-300)
+    while y * math.expm1(hi) + hi < b:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if y * math.expm1(mid) + mid < b:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(hi, 1e-300):
+            break
+    return 0.5 * (lo + hi)
+
+
+# Newton settles into a 1-ulp two-cycle on these (b, x) and u, so the solvers
+# finish by bisection
+LOG_PHI_TWO_CYCLES = [
+    (13.025155629441674, 4.435478937752066),
+    (28.91515641537548, 4.127425118455321),
+    (24.348861443607646, 13.979438607454682),
+]
+LAMBERT_TWO_CYCLES = [-1.9002714971114756, 1.682132285023954, 1.2117415766389286]
+# a rarer three-cycle, which still runs all 50 Newton steps
+LOG_PHI_THREE_CYCLE = (23.030861914990297, 4.493783515760356)
+
+
+class _CountingMath:
+    """Stands in for the math module and counts calls by function name."""
+
+    def __init__(self):
+        self.calls = {}
+
+    def __getattr__(self, name):
+        attr = getattr(math, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return attr(*args)
+
+        return counted
+
+
+class TestSolverEarlyExits:
+    @given(st.floats(1e-12, 1e4), st.floats(-50, 50))
+    @settings(max_examples=2000, deadline=None)
+    def test_log_phi_bitwise_equal_to_reference(self, b, x):
+        assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex()
+
+    @given(st.floats(-700, 700))
+    @settings(max_examples=2000, deadline=None)
+    def test_lambert_w_exp_bitwise_equal_to_reference(self, u):
+        assert specialfn.lambert_w_exp(u).hex() == _ref_lambert_w_exp(u).hex()
+
+    def test_bitwise_equal_on_seeded_inputs(self, rng):
+        for b, x in [*LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE]:
+            assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex(), (b, x)
+        for u in LAMBERT_TWO_CYCLES:
+            assert specialfn.lambert_w_exp(u).hex() == _ref_lambert_w_exp(u).hex(), u
+        for b, x in zip(10.0 ** rng.uniform(-12, 4, 20000), rng.uniform(-50, 50, 20000)):
+            assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex(), (b, x)
+        for u in rng.uniform(-700, 700, 20000):
+            assert specialfn.lambert_w_exp(u).hex() == _ref_lambert_w_exp(u).hex(), u
+
+    @pytest.mark.parametrize("solver, bisection, args, counted", [
+        *[("log_phi", "_bisect_log_phi", args, "expm1") for args in LOG_PHI_TWO_CYCLES],
+        *[("lambert_w_exp", "_bisect_w", (u,), "log") for u in LAMBERT_TWO_CYCLES],
+    ])
+    def test_cycling_input_skips_dead_iterations(self, solver, bisection, args, counted,
+                                                 monkeypatch):
+        # the reference spends 50 Newton steps and 200 halvings on these,
+        # each evaluating the counted function once
+        reference = {"log_phi": _ref_log_phi, "lambert_w_exp": _ref_lambert_w_exp}[solver]
+        counting, bisected = _CountingMath(), []
+        real_bisection = getattr(specialfn, bisection)
+        monkeypatch.setattr(specialfn, "math", counting)
+        monkeypatch.setattr(specialfn, bisection,
+                            lambda *a: bisected.append(a) or real_bisection(*a))
+        got = getattr(specialfn, solver)(*args)
+        monkeypatch.undo()
+        assert got.hex() == reference(*args).hex()
+        assert len(bisected) == 1
+        assert counting.calls[counted] < 100
+
+
 class TestSurrogateAndFlow:
     def test_unit_case(self):
         assert specialfn.surrogate_loss(1.0, math.e, 0.0) == pytest.approx(1.0, rel=1e-13)
