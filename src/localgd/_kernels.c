@@ -89,12 +89,11 @@ static double rk4_flow(double a, double g, double eta, double t_total, int64_t s
     return a;
 }
 
-/* the substeps-vs-half-resolution error estimate goes to err_max[0] */
+/* the substeps-vs-half-resolution error estimate goes to err_max[0] (0 when substeps is 1) */
 int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double *G, double *a,
                                   double eta, int64_t K, int64_t rounds, int64_t substeps,
-                                  int32_t probe, int64_t stride, double *C, double *delta,
-                                  double *a_hist, double *C_hist, int64_t *r_hist,
-                                  double *err_max)
+                                  int64_t stride, double *C, double *delta, double *a_hist,
+                                  double *C_hist, int64_t *r_hist, double *err_max)
 {
     double T = (double)K;
     double err = 0.0;
@@ -105,7 +104,7 @@ int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double 
             double am = a[m];
             double g = gammas[m];
             double end = rk4_flow(am, g, eta, T, substeps);
-            if (probe && substeps >= 2) {
+            if (substeps >= 2) {
                 double half = rk4_flow(am, g, eta, T, substeps / 2);
                 double diff = fabs(end - half);
                 if (diff > err)

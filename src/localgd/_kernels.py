@@ -91,7 +91,7 @@ def _library():
         [n, f64, f64, f64, x, n, n, n] + [f64] * 6 + [i64])
     lib.localgd_local_gd_margin.restype = n
     lib.localgd_gf_numeric_margin.argtypes = (
-        [n, f64, f64, f64, x, n, n, n, ctypes.c_int32, n] + [f64] * 4 + [i64, f64])
+        [n, f64, f64, f64, x, n, n, n, n] + [f64] * 4 + [i64, f64])
     lib.localgd_gf_numeric_margin.restype = n
     return lib
 
@@ -229,7 +229,7 @@ def _rk4_flow(a, g, eta, t_total, substeps):
 
 
 def _gf_numeric_margin_core(
-    gammas, G, a, eta, K, rounds, substeps, probe, stride, C, delta, a_hist, C_hist, r_hist
+    gammas, G, a, eta, K, rounds, substeps, stride, C, delta, a_hist, C_hist, r_hist
 ):
     isfinite = math.isfinite
     M = len(gammas)
@@ -244,7 +244,7 @@ def _gf_numeric_margin_core(
             am = a[m]
             g = gammas[m]
             end = _rk4_flow(am, g, eta, T, substeps)
-            if probe and substeps >= 2:
+            if substeps >= 2:
                 half = _rk4_flow(am, g, eta, T, substeps // 2)
                 diff = abs(end - half)
                 if diff > err_max:
@@ -270,26 +270,26 @@ def _gf_numeric_margin_core(
     return slot, err_max
 
 
-def gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, probe=True, stride=1):
+def gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, stride=1):
     """Classical fixed-step RK4 integration of the local flows in margin space.
 
     Each round integrates every client's scalar flow for K time units with
     ``substeps`` steps, then averages through the Gram matrix. Returns
     (rounds_traced, a_hist, C_hist, err_max) where err_max is the largest
-    endpoint discrepancy against a half-resolution integration (0.0 when the
-    probe is disabled).
+    endpoint discrepancy against a half-resolution integration (0.0 when
+    substeps is 1).
     """
     M, eta, K, rounds = len(gammas), float(eta), int(K), int(rounds)
-    substeps, probe, stride = int(substeps), bool(probe), int(stride)
+    substeps, stride = int(substeps), int(stride)
     lib = _library() if M * rounds * substeps >= C_MIN_WORK else None
     gammas, G, a, work, hist = _kernel_args(
         lib is not None, _trace_slots(rounds, stride), 2, gammas, G, a0)
     if lib is None:
         used, err_max = _gf_numeric_margin_core(
-            gammas, G, a, eta, K, rounds, substeps, probe, stride, *work, *hist)
+            gammas, G, a, eta, K, rounds, substeps, stride, *work, *hist)
     else:
         err = np.zeros(1)
         used = lib.localgd_gf_numeric_margin(
-            M, gammas, G, a, eta, K, rounds, substeps, probe, stride, *work, *hist, err)
+            M, gammas, G, a, eta, K, rounds, substeps, stride, *work, *hist, err)
         err_max = err[0]
     return _traced(hist, used) + (float(err_max),)

@@ -219,12 +219,9 @@ def _resolve_policy(args):
     if args.optimizer == "two-stage":
         if policy.kind in ("small", "large"):
             raise UsageError("two-stage optimizer needs a two-stage or explicit policy")
-        eta1 = policy.eta1 if policy.eta1 is not None else args.eta1
-        eta2 = policy.eta2 if policy.eta2 is not None else args.eta2
-        r0 = policy.r0 if policy.r0 is not None else args.r0
-        if eta1 is None or eta2 is None or r0 is None:
+        if policy.eta1 is None or policy.eta2 is None or policy.r0 is None:
             raise UsageError("two-stage runs need eta1, eta2 and r0 (or --policy two-stage --lambda)")
-        return {"eta1": eta1, "eta2": eta2, "r0": r0}
+        return {"eta1": policy.eta1, "eta2": policy.eta2, "r0": policy.r0}
     if policy.eta is None:
         raise UsageError(f"optimizer {args.optimizer} needs a single stepsize policy")
     return {"eta": policy.eta}
@@ -280,7 +277,7 @@ def _envelope_block(dataset, args, config):
     return out
 
 
-def _summary_doc(args, config, dataset, dataset_path, result, diverged_at, checks):
+def _summary_doc(args, config, dataset, fingerprint, result, diverged_at, checks):
     return {
         "artifact": {"name": "localgd", "version": __version__},
         "command": args.command,
@@ -290,8 +287,8 @@ def _summary_doc(args, config, dataset, dataset_path, result, diverged_at, check
             **{k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(config).items()},
         },
         "dataset": {
-            "path": str(dataset_path),
-            "fingerprint": dataset.fingerprint(),
+            "path": str(args.dataset),
+            "fingerprint": fingerprint,
             "gamma": dataset.margin[0] if dataset.margin else None,
         },
         "seed": args.seed,
@@ -328,8 +325,6 @@ def _cmd_run(args, dataset=None):
             final_weights=np.full(dataset.d, np.nan),
             averaged_weights=None,
             config=config,
-            dataset_fingerprint=dataset.fingerprint(),
-            seed=args.seed,
             optimizer=args.optimizer,
         )
     checks = []
@@ -339,11 +334,12 @@ def _cmd_run(args, dataset=None):
     os.makedirs(args.out_dir, exist_ok=True)
     emit = {e.strip() for e in args.emit.split(",")}
     base = os.path.join(args.out_dir, args.name)
+    fingerprint = dataset.fingerprint()
     if "csv" in emit:
-        meta = _csv_meta_line(config, dataset.fingerprint(), args.seed)
+        meta = _csv_meta_line(config, fingerprint, args.seed)
         _write_csv(base + ".csv", result.traces, dataset.M, meta=meta)
     if "json" in emit:
-        _json_dump(base + ".json", _summary_doc(args, config, dataset, args.dataset, result, diverged_at, checks))
+        _json_dump(base + ".json", _summary_doc(args, config, dataset, fingerprint, result, diverged_at, checks))
     if diverged_at is not None:
         print(f"divergence at round {diverged_at}; partial traces written", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -461,16 +457,13 @@ def _load_run_artifacts(path):
         config = RunConfig(**cfg_doc)
     except (KeyError, TypeError) as err:
         raise IdxFormatError(f"{path}: not a run summary file ({err})") from None
-    result = optim.RunResult(
+    return optim.RunResult(
         traces=traces,
         final_weights=np.zeros(0),
         averaged_weights=None,
         config=config,
-        dataset_fingerprint=doc.get("dataset", {}).get("fingerprint", ""),
-        seed=doc.get("seed"),
         optimizer=doc["config"].get("optimizer", "local-gd"),
     )
-    return result
 
 
 def _cmd_check(args):

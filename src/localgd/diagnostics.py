@@ -9,6 +9,7 @@ norms, which come out of an iterative solver, use 1e-8 relative.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
@@ -19,18 +20,14 @@ from . import losses
 from .data import compute_margin
 from .errors import MissingTraceDataError
 from .schedules import _pos_log
-from .specialfn import TheoryConstants, theory_constants  # re-exported  # noqa: F401
 
 __all__ = [
     "CheckReport",
-    "TheoryConstants",
-    "theory_constants",
     "check_gradient_objective_bounds",
     "check_local_hessian_growth",
     "check_run",
     "envelope_two_stage",
     "envelope_baseline",
-    "envelope_gf",
     "RUN_CHECKS",
 ]
 
@@ -279,6 +276,8 @@ RUN_CHECKS = {
     "stable-monotone": RunCheck(_check_stable_monotone, discrete_only=True),
     "lyapunov": RunCheck(_check_lyapunov, needs="lyapunov"),
     "lyapunov-rate": RunCheck(_check_lyapunov_rate, needs="lyapunov"),
+    "stable-rate-strict": RunCheck(functools.partial(_check_stable_rate, strict=True),
+                                   discrete_only=True),
 }
 
 
@@ -290,7 +289,7 @@ def check_run(run, dataset, checks=None) -> list[CheckReport]:
     MissingTraceDataError; unknown names raise ValueError.
     """
     if checks is None:
-        flow = getattr(run, "optimizer", "local-gd") == "local-gf"
+        flow = run.optimizer == "local-gf"
         selected = [
             n for n, c in RUN_CHECKS.items()
             if c.has_data(run) and not (c.discrete_only and flow)
@@ -306,10 +305,7 @@ def check_run(run, dataset, checks=None) -> list[CheckReport]:
                 raise MissingTraceDataError(
                     f"run traces lack the data needed by check {name!r}"
                 )
-    reports = [RUN_CHECKS[name].fn(run, dataset) for name in selected]
-    if checks is None and any(r.name == "stable-rate" for r in reports):
-        reports.append(_check_stable_rate(run, dataset, strict=True))
-    return reports
+    return [RUN_CHECKS[name].fn(run, dataset) for name in selected]
 
 
 def envelope_two_stage(eta2, gamma, K, R, r0) -> float:
@@ -343,16 +339,3 @@ def envelope_baseline(kind, gamma, K, R) -> float:
             gamma ** (4.0 / 3.0) * R ** (4.0 / 3.0)
         )
     raise ValueError(f"kind must be 'global' or 'local', got {kind!r}")
-
-
-def envelope_gf(constants: TheoryConstants, etaK, r, variant="main") -> float:
-    """Loss bound of the flow analysis at round r (must exceed the threshold).
-
-    variant="main" uses the closed-form transition time tau; variant="warm"
-    uses the two-phase form with thresholds tau0/tau1 (see TheoryConstants).
-    """
-    if etaK != constants.etaK:
-        raise ValueError(
-            f"constants were built for etaK={constants.etaK}, got {etaK}"
-        )
-    return constants.envelope(r, variant=variant)

@@ -121,8 +121,6 @@ class RunResult:
     final_weights: np.ndarray
     averaged_weights: np.ndarray | None
     config: RunConfig
-    dataset_fingerprint: str
-    seed: int | None = None
     optimizer: str = "local-gd"
 
 
@@ -267,8 +265,6 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
         final_weights=w,
         averaged_weights=averaged,
         config=config,
-        dataset_fingerprint=dataset.fingerprint(),
-        seed=config.seed,
     )
 
 
@@ -332,8 +328,6 @@ def _run_margin_engine(dataset, config: RunConfig) -> RunResult:
         final_weights=final,
         averaged_weights=averaged,
         config=config,
-        dataset_fingerprint=dataset.fingerprint(),
-        seed=config.seed,
     )
 
 
@@ -396,8 +390,6 @@ def run_two_stage(dataset, config: RunConfig) -> RunResult:
         final_weights=final,
         averaged_weights=final.copy(),
         config=config,
-        dataset_fingerprint=dataset.fingerprint(),
-        seed=config.seed,
         optimizer="two-stage",
     )
 
@@ -471,7 +463,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
         gammas, U = _margin_geometry(dataset)
         rounds_traced, a_hist, C_hist, err_max = gf_numeric_margin(
             gammas, U @ U.T, U @ w, eta, config.K, config.R,
-            config.gf_substeps, probe=True, stride=config.trace_every,
+            config.gf_substeps, stride=config.trace_every,
         )
         traces, final = _margin_traces(
             dataset, w, U, rounds_traced, a_hist, C_hist, eta,
@@ -502,7 +494,5 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
         final_weights=final,
         averaged_weights=None,
         config=config,
-        dataset_fingerprint=dataset.fingerprint(),
-        seed=config.seed,
         optimizer="local-gf",
     )

@@ -4,9 +4,8 @@ After unit-norm scaling the objective is H-smooth with H = 1/4, and the three
 experimental policies follow from it: "small" eta = 1/(K*H), "large"
 eta = 1/H, and "two_stage" which warms up at 1/(K*H) for r0 = floor(lambda*K)
 rounds before switching to 1/H. The theory_* functions give the warmup length
-and first-stage stepsize under which the two-stage rate guarantee applies; the
-constants hidden by the guarantee's asymptotic notation are fixed here and
-recorded in run metadata.
+and first-stage stepsize under which the two-stage rate guarantee applies,
+with the constants hidden by the guarantee's asymptotic notation fixed here.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ __all__ = ["StepsizePolicy", "make_policy", "theory_r0", "theory_eta1"]
 
 POLICY_KINDS = ("small", "large", "two_stage", "explicit")
 
-# min{1/K, ...} scaled so that eta1 <= 1/(K*H) at H = 1/4.
-THEORY_ETA1_NOTE = "theory_eta1 uses min(1/(4K), eta2^(1/3) M^(1/3) / (gamma^2 K^(2/3)))"
-
 
 @dataclass(frozen=True)
 class StepsizePolicy:
@@ -31,7 +27,6 @@ class StepsizePolicy:
     eta1: float | None = None
     eta2: float | None = None
     r0: int | None = None
-    lam: float | None = None
 
     def __post_init__(self):
         for value in (self.eta, self.eta1, self.eta2):
@@ -63,7 +58,6 @@ def make_policy(kind, K, H=0.25, lam=None, eta=None, eta1=None, eta2=None, r0=No
             eta1=1.0 / (K * H),
             eta2=1.0 / H,
             r0=int(math.floor(lam * K)),
-            lam=lam,
         )
     if kind == "explicit":
         if eta is None and (eta1 is None or eta2 is None or r0 is None):

@@ -1,10 +1,13 @@
-"""Log-domain Lambert W machinery for the exact local-gradient-flow round map.
+"""The exact local-gradient-flow round map, in log space, and its rate constants.
 
 The flow of a single folded sample z = gamma * u (u a unit vector) moves the
-margin projection a = <w, u> according to a separable ODE whose solution is
-expressible through the principal Lambert W branch. Everything here works with
-W(exp(.)) without ever forming exp(.), so arguments far beyond the overflow
-threshold of float64 are handled exactly in log space.
+margin projection a = <w, u> along a separable ODE whose solution is
+expressible through the principal Lambert W branch. ``log_phi`` gives the
+logarithm of the round's amplification factor from the residual equation of
+that solution, without ever forming exp(.) of its argument, so arguments far
+beyond the overflow threshold of float64 are handled exactly in log space.
+The surrogate client losses, the margin-space round map and the closed-form
+rate constants of two-client runs are built on it.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ import numpy as np
 from .errors import DegenerateGeometryError, DomainError
 
 __all__ = [
-    "lambert_w_exp",
     "log_phi",
     "surrogate_loss",
-    "gf_flow_advance",
     "GfState",
     "make_gf_state",
     "gf_round",
@@ -31,75 +32,10 @@ __all__ = [
 _NEWTON_STALL = 50
 
 
-def lambert_w_exp(u: float) -> float:
-    """Solve w + ln(w) = u for w > 0, i.e. compute W(exp(u)) in log space.
-
-    Newton iteration on f(w) = w + ln(w) - u, seeded with w = u - ln(max(u, 1))
-    for u > 2 and w = exp(u - 1) (clamped away from zero) otherwise. f is
-    concave and increasing, so Newton converges monotonically once above the
-    root. It stops when a step moves w by at most 1e-16 relative, which is
-    below half an ulp, so Newton can instead settle into a 1-ulp two-cycle;
-    bisection (``_bisect_w``) then finishes. That happened on 62 and 77 of
-    100k calls in two samples of u uniform in [-700, 700]. Two early exits
-    keep the result bitwise what the full 50 Newton steps and 200 halvings
-    would give: a two-cycle hands bisection at once the iterate the 50th
-    step would hold, and bisection stops once its midpoint equals an
-    endpoint.
-    """
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValueError("u must be finite")
-    if u < -700.0:
-        # the root sits at the edge of the subnormal range where Newton's
-        # iterates would round to zero; the series w = e^u*(1 - e^u + ...) is
-        # already beyond full precision here
-        w = math.exp(u)
-        return max(w * (1.0 - w), 5e-324)
-    if u > 2.0:
-        w = u - math.log(max(u, 1.0))
-    else:
-        w = max(math.exp(u - 1.0), 5e-324)
-    w_prev = math.nan
-    for i in range(_NEWTON_STALL):
-        f = w + math.log(w) - u
-        step = f * w / (w + 1.0)
-        wn = w - step
-        if wn <= 0.0:
-            wn = max(w * 0.5, 5e-324)
-        if abs(wn - w) <= 1e-16 * abs(wn):
-            return wn
-        if wn == w_prev:
-            # two-cycle: the stop test above fails on both of its pairs
-            return _bisect_w(u, _stalled_iterate(i, wn, w))
-        w_prev, w = w, wn
-    return _bisect_w(u, w)
-
-
 def _stalled_iterate(i, new, old):
     """The iterate Newton would hold after _NEWTON_STALL steps, given that
     step i (from 0) closed a two-cycle between ``old`` and ``new``."""
     return new if (_NEWTON_STALL - 1 - i) % 2 == 0 else old
-
-
-def _bisect_w(u, w_hint):
-    lo, hi = w_hint, w_hint
-    while lo + math.log(lo) > u:
-        lo *= 0.5
-    while hi + math.log(hi) < u:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # lo and hi are equal or adjacent floats: the loop would end
-            # returning this same mid
-            return mid
-        if mid + math.log(mid) < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 def log_phi(b: float, x: float) -> float:
@@ -108,9 +44,12 @@ def log_phi(b: float, x: float) -> float:
     With u = b + exp(x) + x and w = W(exp(u)), the result is u - w - x. That
     difference is obtained directly by Newton on its residual equation
     exp(x)*(exp(L) - 1) + L = b, which is cancellation-free even when exp(x)
-    dwarfs the result. Nonnegative; zero exactly when b = 0; finite for every
-    finite b >= 0 and |x| <= 700, also where the root L lies past exp's
-    overflow threshold (large b with very negative x).
+    dwarfs the result. Nonnegative, and zero when b = 0; for b > 0 the true
+    value is positive but rounds to 0.0 where it lies below the smallest
+    subnormal (as at b = 5e-324, x = 0 or b = 1e-300, x = 700). Finite for
+    every finite b >= 0 and |x| <= 700, also where the root L lies past exp's
+    overflow threshold (large b with very negative x). A NaN or infinite b
+    raises ValueError; an x that is not finite or has |x| > 700, DomainError.
 
     Newton stops when a step moves L by at most 1e-16 relative, which is
     below half an ulp, so it can instead settle into a 1-ulp two-cycle;
@@ -124,8 +63,8 @@ def log_phi(b: float, x: float) -> float:
     """
     b = float(b)
     x = float(x)
-    if b < 0.0:
-        raise ValueError(f"b must be nonnegative, got {b}")
+    if not 0.0 <= b < math.inf:
+        raise ValueError(f"b must be finite and nonnegative, got {b}")
     if not math.isfinite(x) or abs(x) > 700.0:
         raise DomainError(f"x={x} outside representable range (|x| <= 700)")
     if b == 0.0:
@@ -190,45 +129,28 @@ def _bisect_log_phi(b, x, y, hint):
 def surrogate_loss(gamma_m: float, etaK: float, a_m: float) -> float:
     """Surrogate client loss: log_phi(etaK*gamma^2, gamma*a) / gamma.
 
-    Strictly decreasing in the margin projection a_m; strictly positive for
-    etaK > 0.
+    Decreasing in the margin projection a_m, and positive for etaK > 0 except
+    where log_phi's value underflows to 0.0 (see log_phi).
     """
-    if gamma_m <= 0.0:
+    if not gamma_m > 0.0:
         raise ValueError(f"gamma_m must be positive, got {gamma_m}")
-    if etaK <= 0.0:
+    if not etaK > 0.0:
         raise ValueError(f"etaK must be positive, got {etaK}")
     return log_phi(etaK * gamma_m * gamma_m, gamma_m * a_m) / gamma_m
-
-
-def gf_flow_advance(gamma: float, a0: float, eta_t: float) -> float:
-    """Advance the margin projection of one client along its exact local flow.
-
-    Returns a(t) with exp(g*a(t)) + g*a(t) = eta_t*g^2 + exp(g*a0) + g*a0,
-    where eta_t is the stepsize-time product eta*t. Equals a0 exactly when
-    eta_t = 0, and is strictly larger otherwise.
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if eta_t < 0.0:
-        raise ValueError(f"eta_t must be nonnegative, got {eta_t}")
-    if eta_t == 0.0:
-        return float(a0)
-    return a0 + log_phi(eta_t * gamma * gamma, gamma * a0) / gamma
 
 
 @dataclass(frozen=True)
 class GfState:
     """Margin-space state of an exact local-gradient-flow run with n=1 clients.
 
-    gammas[m] is the norm of client m's folded sample, directions[m] the unit
-    vector along it, gram the M x M Gram matrix of the directions, a[m] the
-    projection of the current average iterate onto directions[m], rho[m] the
-    surrogate loss, and lyapunov = max(rho). c is gram[0][1] and is only
-    geometrically meaningful when M = 2.
+    gammas[m] is the norm of client m's folded sample, gram the M x M Gram
+    matrix of the unit vectors u_m along the samples, a[m] the projection of
+    the current average iterate onto u_m, rho[m] the surrogate loss, and
+    lyapunov = max(rho). c is gram[0][1] and is only geometrically meaningful
+    when M = 2.
     """
 
     gammas: np.ndarray
-    directions: np.ndarray
     gram: np.ndarray
     a: np.ndarray
     rho: np.ndarray
@@ -237,7 +159,8 @@ class GfState:
 
 
 def make_gf_state(gammas, directions, etaK, a=None) -> GfState:
-    """Assemble a GfState, computing the Gram matrix and surrogates at etaK."""
+    """Assemble a GfState, computing the Gram matrix of the unit vectors
+    ``directions`` and the surrogates at etaK."""
     gammas = np.asarray(gammas, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
     M = gammas.shape[0]
@@ -252,7 +175,6 @@ def make_gf_state(gammas, directions, etaK, a=None) -> GfState:
     rho = np.array([surrogate_loss(g, etaK, ai) for g, ai in zip(gammas, a)])
     return GfState(
         gammas=gammas,
-        directions=directions,
         gram=gram,
         a=a,
         rho=rho,

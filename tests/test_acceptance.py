@@ -114,10 +114,11 @@ def test_criterion_1_property_suites():
         if psi(t) - 2 * psi(t + h) + psi(t + 2 * h) > 1e-9:
             failures.append("concavity")
 
-    # log-domain solver residuals
-    for u in np.random.default_rng(1005).uniform(-50, 50, size=1000):
-        w = specialfn.lambert_w_exp(float(u))
-        if abs(w + math.log(w) - u) > 1e-12 * max(1.0, abs(u)):
+    # log-domain solver residuals: exp(x)*(exp(L) - 1) + L = b at L = log_phi(b, x)
+    rng5 = np.random.default_rng(1005)
+    for b, x in zip(rng5.uniform(0.01, 50, size=1000), rng5.uniform(-50, 50, size=1000)):
+        L = specialfn.log_phi(float(b), float(x))
+        if abs(math.exp(x) * math.expm1(L) + L - b) > 1e-12 * max(1.0, b):
             failures.append("solver residual")
 
     elapsed = time.perf_counter() - start

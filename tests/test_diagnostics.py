@@ -75,25 +75,20 @@ class TestEnvelopeGf:
 
     def test_decreasing_and_positive(self):
         tc = self._constants()
-        vals = [diagnostics.envelope_gf(tc, 2.0, tc.tau + 10 * k) for k in (1, 2, 4, 8)]
+        vals = [tc.envelope(tc.tau + 10 * k) for k in (1, 2, 4, 8)]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_doubling_gap_halves(self):
         tc = self._constants()
-        a = diagnostics.envelope_gf(tc, 2.0, tc.tau + 50)
-        b = diagnostics.envelope_gf(tc, 2.0, tc.tau + 100)
+        a = tc.envelope(tc.tau + 50)
+        b = tc.envelope(tc.tau + 100)
         assert b == pytest.approx(a / 2, rel=1e-12)
-
-    def test_etaK_mismatch_rejected(self):
-        tc = self._constants()
-        with pytest.raises(ValueError, match="etaK"):
-            diagnostics.envelope_gf(tc, 3.0, tc.tau + 10)
 
     def test_below_threshold_rejected(self):
         tc = self._constants()
         with pytest.raises(ValueError):
-            diagnostics.envelope_gf(tc, 2.0, tc.tau)
+            tc.envelope(tc.tau)
 
 
 class TestGradientObjectiveBounds:
@@ -213,6 +208,21 @@ class TestCheckRun:
             diagnostics.check_run(res, ds, checks=["drift"])
         with pytest.raises(ValueError, match="unknown check"):
             diagnostics.check_run(res, ds, checks=["entropy"])
+
+    def test_automatic_selection_order(self, rng):
+        ds = separable_dataset(rng, M=2, n=2, d=3)
+        res = run_local_gd(ds, RunConfig(R=5, K=2, eta=1.0))
+        reports = diagnostics.check_run(res, ds)
+        assert [r.name for r in reports] == [
+            "client-drift", "gradient-bias", "stable-rate", "stable-monotone",
+            "stable-rate-strict",
+        ]
+        assert [r.informational for r in reports] == [False] * 4 + [True]
+        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
+        flow = run_local_gf(ds, RunConfig(R=5, K=2, eta=1.0))
+        assert [r.name for r in diagnostics.check_run(flow, ds)] == [
+            "lyapunov-monotone", "lyapunov-rate",
+        ]
 
     def test_reports_serialize(self, rng):
         ds = separable_dataset(rng, M=2, n=2, d=3)

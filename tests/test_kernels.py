@@ -175,7 +175,7 @@ def test_local_gd_kernel_overflowing_step_adds_zero():
             with _on(backend):
                 got = _kernels.local_gd_margin(gammas, G, a0, eta, K, rounds, stride)
                 got_gf = _kernels.gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps,
-                                                    True, stride)
+                                                    stride)
             _assert_bitwise(got, lgd, (backend, eta))
             assert np.all(np.isfinite(got[2])), (backend, eta)
             _assert_bitwise(got_gf, gf, (backend, eta, "gf"))
@@ -192,7 +192,7 @@ def test_kernels_stop_at_the_first_non_finite_round():
         for backend in BACKENDS:
             with _on(backend):
                 got = _kernels.local_gd_margin(gammas, G, a0, 1.7e308, 1, 10, stride)
-                got_gf = _kernels.gf_numeric_margin(gammas, G, a0, 1.7e308, 1, 10, 1, True, stride)
+                got_gf = _kernels.gf_numeric_margin(gammas, G, a0, 1.7e308, 1, 10, 1, stride)
             _assert_bitwise(got, lgd, (backend, stride))
             _assert_bitwise(got_gf, gf, (backend, stride, "gf"))
             assert got[0].tolist() == got_gf[0].tolist() == [0, 1], (backend, stride)
@@ -208,8 +208,7 @@ def test_gf_kernel_matches_python_body(monkeypatch):
             seen = set()
             with _on(backend), monkeypatch.context() as mp:
                 _spy(mp, "_gf_numeric_margin_core", seen)
-                got = _kernels.gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, True,
-                                                 stride)
+                got = _kernels.gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, stride)
             assert seen == FED[backend], case
             want = _reference_gf(gammas, G, a0, eta, K, rounds, substeps, stride)
             _assert_bitwise(got, want, case)
@@ -239,13 +238,12 @@ def test_local_gd_c_matches_python(seed, M, K, rounds, stride, eta):
     _assert_bitwise(c, py, (seed, M, K, rounds, stride, eta))
 
 
-@given(substeps=st.integers(1, 8), probe=st.booleans(), **_RUN)
+@given(substeps=st.integers(1, 8), **_RUN)
 @settings(max_examples=60, deadline=None)
-def test_gf_c_matches_python(seed, M, K, rounds, stride, eta, substeps, probe):
+def test_gf_c_matches_python(seed, M, K, rounds, stride, eta, substeps):
     gammas, G, a0 = _geometry(M, seed)
-    c, py = _both(_kernels.gf_numeric_margin, gammas, G, a0, eta, K, rounds, substeps, probe,
-                  stride)
-    _assert_bitwise(c, py, (seed, M, K, rounds, stride, eta, substeps, probe))
+    c, py = _both(_kernels.gf_numeric_margin, gammas, G, a0, eta, K, rounds, substeps, stride)
+    _assert_bitwise(c, py, (seed, M, K, rounds, stride, eta, substeps))
 
 
 @pytest.fixture

@@ -43,58 +43,6 @@ def bisect_w_plus_logw(target, tol=1e-15):
     return 0.5 * (wlo + whi)
 
 
-class TestLambertWExp:
-    def test_fixed_point_one(self):
-        assert specialfn.lambert_w_exp(1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_e_plus_one_gives_e(self):
-        assert specialfn.lambert_w_exp(math.e + 1) == pytest.approx(math.e, rel=1e-13)
-
-    def test_omega_constant_via_bisection(self):
-        oracle = bisect_w_plus_logw(0.0)
-        got = specialfn.lambert_w_exp(0.0)
-        assert got == pytest.approx(oracle, rel=1e-13)
-        assert got == pytest.approx(0.5671432904097838, abs=1e-15)
-
-    def test_residual_randomized(self, rng):
-        for u in rng.uniform(-50, 50, size=1000):
-            w = specialfn.lambert_w_exp(float(u))
-            assert abs(w + math.log(w) - u) <= 1e-12 * max(1.0, abs(u))
-
-    @given(st.floats(-50, 50))
-    @settings(max_examples=200, deadline=None)
-    def test_residual_property(self, u):
-        w = specialfn.lambert_w_exp(u)
-        assert w > 0
-        assert abs(w + math.log(w) - u) <= 1e-12 * max(1.0, abs(u))
-
-    @pytest.mark.parametrize("u", [700.0, 1e4, 1e8, 1e300, -700.0])
-    def test_extreme_arguments(self, u):
-        w = specialfn.lambert_w_exp(u)
-        assert math.isfinite(w) and w > 0
-        assert abs(w + math.log(w) - u) <= 1e-12 * max(1.0, abs(u))
-
-    def test_monotone(self, rng):
-        us = np.sort(rng.uniform(-20, 20, size=100))
-        ws = [specialfn.lambert_w_exp(float(u)) for u in us]
-        assert all(a < b for a, b in zip(ws, ws[1:]))
-
-    def test_against_arbitrary_precision(self, rng):
-        with mpmath.workdps(60):
-            for u in list(rng.uniform(-690, 690, size=40)) + [-700.0, 0.0, 1.0, 690.0]:
-                ref = float(mpmath.lambertw(mpmath.exp(mpmath.mpf(u))))
-                got = specialfn.lambert_w_exp(float(u))
-                assert got == pytest.approx(ref, rel=1e-13)
-
-    def test_underflow_zone_stays_positive(self):
-        # below u ~ -745 the root is not representable; the result must still
-        # be positive and never raise
-        for u in (-700.0, -744.0, -745.0, -746.0, -1000.0, -1e6):
-            w = specialfn.lambert_w_exp(u)
-            assert w > 0.0
-        assert specialfn.lambert_w_exp(-710.0) == pytest.approx(math.exp(-710.0), rel=1e-12)
-
-
 def log_phi_oracle(b, x):
     """log Phi via the bisection oracle on the underlying transcendental."""
     u = b + math.exp(x) + x
@@ -120,7 +68,7 @@ class TestLogPhi:
             b = float(rng.uniform(0.01, 40))
             x = float(rng.uniform(-15, 15))
             u = b + math.exp(x) + x
-            direct = u - specialfn.lambert_w_exp(u) - x
+            direct = u - bisect_w_plus_logw(u) - x
             assert specialfn.log_phi(b, x) == pytest.approx(
                 direct, abs=1e-11 * max(1.0, u)
             )
@@ -156,6 +104,17 @@ class TestLogPhi:
             specialfn.log_phi(1.0, -701.0)
         with pytest.raises(ValueError):
             specialfn.log_phi(-0.5, 0.0)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_non_finite_b_rejected(self, b):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            specialfn.log_phi(b, 0.0)
+
+    def test_value_below_the_smallest_subnormal_rounds_to_zero(self):
+        # b > 0, but the true value lies below 5e-324
+        assert specialfn.log_phi(5e-324, 0.0) == 0.0
+        assert specialfn.log_phi(1e-300, 700.0) == 0.0
+        assert specialfn.surrogate_loss(1.0, 5e-324, 0.0) == 0.0
 
     def test_large_b_small_exponent_regression(self):
         # this corner needs ~80 descent steps from the linearization seed, so
@@ -242,50 +201,10 @@ class TestLogPhiPastExpRange:
             assert math.isfinite(specialfn.log_phi(b, x)), (b, x)
 
 
-# The solvers as they were before their early exits, verbatim: the early exits
-# must leave every bit of every result unchanged.
+# The solver as it was before its early exits, verbatim: the early exits must
+# leave every bit of every result unchanged.
 
 _NEWTON_STALL = 50
-
-
-def _ref_lambert_w_exp(u: float) -> float:
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValueError("u must be finite")
-    if u < -700.0:
-        w = math.exp(u)
-        return max(w * (1.0 - w), 5e-324)
-    if u > 2.0:
-        w = u - math.log(max(u, 1.0))
-    else:
-        w = max(math.exp(u - 1.0), 5e-324)
-    for _ in range(_NEWTON_STALL):
-        f = w + math.log(w) - u
-        step = f * w / (w + 1.0)
-        wn = w - step
-        if wn <= 0.0:
-            wn = max(w * 0.5, 5e-324)
-        if abs(wn - w) <= 1e-16 * abs(wn):
-            return wn
-        w = wn
-    return _ref_bisect_w(u, w)
-
-
-def _ref_bisect_w(u, w_hint):
-    lo, hi = w_hint, w_hint
-    while lo + math.log(lo) > u:
-        lo *= 0.5
-    while hi + math.log(hi) < u:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid + math.log(mid) < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 def _ref_log_phi(b: float, x: float) -> float:
@@ -328,14 +247,13 @@ def _ref_bisect_log_phi(b, y, hint):
     return 0.5 * (lo + hi)
 
 
-# Newton settles into a 1-ulp two-cycle on these (b, x) and u, so the solvers
-# finish by bisection
+# Newton settles into a 1-ulp two-cycle on these (b, x), so the solver
+# finishes by bisection
 LOG_PHI_TWO_CYCLES = [
     (13.025155629441674, 4.435478937752066),
     (28.91515641537548, 4.127425118455321),
     (24.348861443607646, 13.979438607454682),
 ]
-LAMBERT_TWO_CYCLES = [-1.9002714971114756, 1.682132285023954, 1.2117415766389286]
 # a rarer three-cycle, which still runs all 50 Newton steps
 LOG_PHI_THREE_CYCLE = (23.030861914990297, 4.493783515760356)
 
@@ -364,30 +282,19 @@ class TestSolverEarlyExits:
     def test_log_phi_bitwise_equal_to_reference(self, b, x):
         assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex()
 
-    @given(st.floats(-700, 700))
-    @settings(max_examples=2000, deadline=None)
-    def test_lambert_w_exp_bitwise_equal_to_reference(self, u):
-        assert specialfn.lambert_w_exp(u).hex() == _ref_lambert_w_exp(u).hex()
-
     def test_bitwise_equal_on_seeded_inputs(self, rng):
         for b, x in [*LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE]:
             assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex(), (b, x)
-        for u in LAMBERT_TWO_CYCLES:
-            assert specialfn.lambert_w_exp(u).hex() == _ref_lambert_w_exp(u).hex(), u
         for b, x in zip(10.0 ** rng.uniform(-12, 4, 20000), rng.uniform(-50, 50, 20000)):
             assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex(), (b, x)
-        for u in rng.uniform(-700, 700, 20000):
-            assert specialfn.lambert_w_exp(u).hex() == _ref_lambert_w_exp(u).hex(), u
 
     @pytest.mark.parametrize("solver, bisection, args, counted", [
         *[("log_phi", "_bisect_log_phi", args, "expm1") for args in LOG_PHI_TWO_CYCLES],
-        *[("lambert_w_exp", "_bisect_w", (u,), "log") for u in LAMBERT_TWO_CYCLES],
     ])
     def test_cycling_input_skips_dead_iterations(self, solver, bisection, args, counted,
                                                  monkeypatch):
         # the reference spends 50 Newton steps and 200 halvings on these,
         # each evaluating the counted function once
-        reference = {"log_phi": _ref_log_phi, "lambert_w_exp": _ref_lambert_w_exp}[solver]
         counting, bisected = _CountingMath(), []
         real_bisection = getattr(specialfn, bisection)
         monkeypatch.setattr(specialfn, "math", counting)
@@ -395,7 +302,7 @@ class TestSolverEarlyExits:
                             lambda *a: bisected.append(a) or real_bisection(*a))
         got = getattr(specialfn, solver)(*args)
         monkeypatch.undo()
-        assert got.hex() == reference(*args).hex()
+        assert got.hex() == _ref_log_phi(*args).hex()
         assert len(bisected) == 1
         assert counting.calls[counted] < 100
 
@@ -424,12 +331,13 @@ class TestSurrogateAndFlow:
                 continue
             assert specialfn.surrogate_loss(g, etaK, a1) > specialfn.surrogate_loss(g, etaK, a2)
 
-    def test_flow_no_time_is_identity(self):
-        assert specialfn.gf_flow_advance(0.7, -1.3, 0.0) == -1.3
+    # one client's exact flow for time t moves its projection from a0 to
+    # a0 + surrogate_loss(gamma, eta*t, a0)
 
     def test_flow_unit_case(self):
-        # gamma=1, a0=0, eta*t = e: exp(a) + a = e + 1 at a = 1
-        assert specialfn.gf_flow_advance(1.0, 0.0, math.e) == pytest.approx(1.0, rel=1e-13)
+        # gamma=1, a0=1, eta*t = e^2 - e + 1: exp(a) + a = e^2 + 2 at a = 2
+        eta_t = math.e**2 - math.e + 1.0
+        assert 1.0 + specialfn.surrogate_loss(1.0, eta_t, 1.0) == pytest.approx(2.0, rel=1e-13)
 
     def test_flow_via_bisection(self):
         # gamma=0.5, a0=-1, eta*gamma^2*t = 2
@@ -438,14 +346,22 @@ class TestSurrogateAndFlow:
         z = bisect_w_plus_logw(target)  # z = exp(gamma * a)
         expected = math.log(z) / gamma
         eta_t = 2.0 / gamma**2
-        assert specialfn.gf_flow_advance(gamma, a0, eta_t) == pytest.approx(expected, rel=1e-12)
+        got = a0 + specialfn.surrogate_loss(gamma, eta_t, a0)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_flow_moves_forward(self, rng):
         for _ in range(100):
             g = float(rng.uniform(0.1, 1))
             a0 = float(rng.uniform(-3, 3))
             t = float(rng.uniform(0.01, 10))
-            assert specialfn.gf_flow_advance(g, a0, t) > a0
+            assert a0 + specialfn.surrogate_loss(g, t, a0) > a0
+
+    @pytest.mark.parametrize("gamma_m, etaK", [
+        (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (math.inf, 1.0),
+    ])
+    def test_non_finite_arguments_rejected(self, gamma_m, etaK):
+        with pytest.raises(ValueError):
+            specialfn.surrogate_loss(gamma_m, etaK, 0.0)
 
 
 def _state(gammas, c, etaK, a=None):
