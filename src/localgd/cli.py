@@ -5,11 +5,11 @@ out of range (partial traces are still written), 3 check violation, 4 I/O or
 file-format failure. A sweep cell records the code `run` would return with the
 same flags.
 
-A sweep reads and verifies its dataset once, in the parent process, and hands
-every cell the parsed dataset. The environment variable LOCALGD_THREADS caps
-sweep parallelism (default: machine cores; never more workers than cells); a
-value that is not an integer >= 1 is a usage error. Every cell is internally
-deterministic either way.
+A sweep reads, verifies and fingerprints its dataset once, in the parent
+process, and hands every cell the parsed dataset and its fingerprint. The
+environment variable LOCALGD_THREADS caps sweep parallelism (default: machine
+cores; never more workers than cells); a value that is not an integer >= 1 is
+a usage error. Every cell is internally deterministic either way.
 """
 
 from __future__ import annotations
@@ -173,7 +173,6 @@ def build_parser():
     g_mn.add_argument("--labels", required=True, help="IDX label file")
     g_mn.add_argument("--M", type=int, default=5)
     g_mn.add_argument("--n", type=int, default=200, help="samples per client")
-    g_mn.add_argument("--n-total", type=int, help="pool size (default M*n)")
     g_mn.add_argument("--s", type=float, default=0.05, help="uniform share of each client")
     g_mn.add_argument("--seed", type=int, default=0)
     g_mn.add_argument("--out", required=True)
@@ -249,8 +248,7 @@ def _run_config(args):
 
 def _flow_constants(dataset, etaK):
     """TheoryConstants of a two-client flow run, and the dict of them that is printed."""
-    gammas, U = optim._margin_geometry(dataset)
-    tc = specialfn.theory_constants(specialfn.make_gf_state(gammas, U, etaK), etaK)
+    tc = specialfn.theory_constants(specialfn.make_gf_state(*dataset.sample_geometry(), etaK), etaK)
     return tc, {k: getattr(tc, k) for k in ("L0", "H0", "nu", "tau", "tau0", "tau1", "c")}
 
 
@@ -268,9 +266,7 @@ def _envelope_block(dataset, args, config):
     if args.optimizer == "local-gd":
         out["baseline_global"] = diagnostics.envelope_baseline("global", gamma, config.K, config.R)
         out["baseline_local"] = diagnostics.envelope_baseline("local", gamma, config.K, config.R)
-    if args.optimizer == "local-gf" and dataset.M == 2 and all(
-        Z.shape[0] == 1 for Z in dataset.clients
-    ):
+    if args.optimizer == "local-gf" and dataset.M == 2 and dataset.one_sample_per_client:
         tc, out["gf_constants"] = _flow_constants(dataset, config.eta * config.K)
         if math.isfinite(tc.tau) and config.R > tc.tau:
             out["gf_final"] = tc.envelope(config.R, "main")
@@ -305,10 +301,14 @@ def _summary_doc(args, config, dataset, fingerprint, result, diverged_at, checks
     }
 
 
-def _cmd_run(args, dataset=None):
-    """Run one optimizer; ``dataset`` is the already-loaded ``args.dataset``, if any."""
-    if dataset is None:
-        dataset = load_dataset(args.dataset)
+def _load_fingerprinted(path):
+    dataset = load_dataset(path)
+    return dataset, dataset.fingerprint()
+
+
+def _cmd_run(args, loaded=None):
+    """Run one optimizer; ``loaded`` is ``args.dataset`` and its fingerprint, if loaded."""
+    dataset, fingerprint = loaded or _load_fingerprinted(args.dataset)
     config = _run_config(args)
     diverged_at = None
     try:
@@ -334,7 +334,6 @@ def _cmd_run(args, dataset=None):
     os.makedirs(args.out_dir, exist_ok=True)
     emit = {e.strip() for e in args.emit.split(",")}
     base = os.path.join(args.out_dir, args.name)
-    fingerprint = dataset.fingerprint()
     if "csv" in emit:
         meta = _csv_meta_line(config, fingerprint, args.seed)
         _write_csv(base + ".csv", result.traces, dataset.M, meta=meta)
@@ -349,14 +348,14 @@ def _cmd_run(args, dataset=None):
     return EXIT_OK
 
 
-# The dataset every cell of the running sweep shares: set by _init_sweep_worker
-# in each pool worker, or around the cells of a serial sweep and cleared after.
+# The (dataset, fingerprint) every cell of the running sweep shares: set by
+# _init_sweep_worker in each pool worker, or around a serial sweep and cleared after.
 _sweep_dataset = None
 
 
-def _init_sweep_worker(dataset):
+def _init_sweep_worker(loaded):
     global _sweep_dataset
-    _sweep_dataset = dataset
+    _sweep_dataset = loaded
 
 
 def _sweep_cell(args):
@@ -367,7 +366,7 @@ def _sweep_cell(args):
             # the message argparse gives `run --policy` for the same value
             raise UsageError(f"argument --policy: invalid choice: {args.policy!r} "
                              f"(choose from {', '.join(map(repr, POLICIES))})")
-        code = _cmd_run(args, dataset=_sweep_dataset)
+        code = _cmd_run(args, loaded=_sweep_dataset)
         return {"name": name, "exit": code, "csv": name + ".csv", "summary": name + ".json"}
     except tuple(EXIT_CODES) as err:
         return {"name": name, "exit": _exit_code(err), "error": str(err)}
@@ -398,7 +397,7 @@ def _cmd_sweep(args):
     workers = _sweep_workers(len(cells))
     os.makedirs(args.out_dir, exist_ok=True)
     try:
-        dataset = load_dataset(args.dataset)
+        loaded = _load_fingerprinted(args.dataset)
     except (OSError, ValueError) as err:
         results = [{"name": c.name, "exit": EXIT_IO, "error": str(err)} for c in cells]
     else:
@@ -406,11 +405,11 @@ def _cmd_sweep(args):
             # under fork the workers inherit the dataset; other start methods
             # pickle it once per worker, not once per cell
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_sweep_worker, initargs=(dataset,)
+                max_workers=workers, initializer=_init_sweep_worker, initargs=(loaded,)
             ) as pool:
                 results = list(pool.map(_sweep_cell, cells))
         else:
-            _init_sweep_worker(dataset)
+            _init_sweep_worker(loaded)
             try:
                 results = [_sweep_cell(c) for c in cells]
             finally:
@@ -434,13 +433,12 @@ def _cmd_gen_data(args):
                  "seed": None}
     else:
         raw = load_mnist_idx(args.images, args.labels)
-        n_total = args.n_total if args.n_total is not None else args.M * args.n
-        spec = PartitionSpec(n_total=n_total, M=args.M, n_per_client=args.n,
+        spec = PartitionSpec(n_total=args.M * args.n, M=args.M, n_per_client=args.n,
                              similarity_s=args.s, seed=args.seed)
         ds = partition_heterogeneous(raw, spec)
         compute_margin(ds)
         extra = {"source": {"kind": "mnist", "M": args.M, "n": args.n,
-                            "n_total": n_total, "s": args.s},
+                            "n_total": spec.n_total, "s": args.s},
                  "seed": args.seed}
     extra["artifact"] = {"name": "localgd", "version": __version__}
     save_dataset(ds, args.out, extra=extra)
@@ -455,7 +453,7 @@ def _load_run_artifacts(path):
         traces = [RoundTrace(**t) for t in doc["traces"]]
         cfg_doc = {k: v for k, v in doc["config"].items() if k not in ("optimizer", "policy")}
         config = RunConfig(**cfg_doc)
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, AttributeError, ValueError) as err:
         raise IdxFormatError(f"{path}: not a run summary file ({err})") from None
     return optim.RunResult(
         traces=traces,

@@ -1,7 +1,7 @@
 """Dataset model: folding, scaling, synthetic and MNIST sources, max margin.
 
 A prepared dataset stores folded points z = y*x (all labels become +1), jointly
-scaled so the largest norm is exactly 1. Randomness is confined to
+scaled so every norm is at most 1. Randomness is confined to
 ``partition_heterogeneous`` and always flows through numpy's PCG64 generator
 seeded from the partition spec, so identical specs give byte-identical
 datasets.
@@ -72,6 +72,20 @@ class FederatedDataset:
     def all_points(self) -> np.ndarray:
         return np.concatenate(self.clients, axis=0)
 
+    @property
+    def one_sample_per_client(self) -> bool:
+        return all(Z.shape[0] == 1 for Z in self.clients)
+
+    def sample_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Norms and unit directions of the clients' single, nonzero samples."""
+        if not self.one_sample_per_client:
+            raise ValueError("margin-space runs need exactly one sample per client")
+        points = np.array([Z[0] for Z in self.clients])
+        gammas = np.linalg.norm(points, axis=1)
+        if np.any(gammas == 0):
+            raise ValueError("margin-space runs need nonzero samples")
+        return gammas, points / gammas[:, None]
+
     def fingerprint(self) -> str:
         """SHA-256 of the exact client payload (order and bits included)."""
         h = hashlib.sha256()
@@ -119,12 +133,16 @@ class PartitionSpec:
             raise ValueError(f"similarity_s must lie in [0, 1], got {self.similarity_s}")
 
 
+def _max_norm(clients):
+    return max(float(np.max(np.linalg.norm(Z, axis=1))) for Z in clients)
+
+
 def prepare(raw: list[tuple[RawSample, int]]) -> FederatedDataset:
     """Fold labels into the features and scale all points by the max norm.
 
     Every (sample, client_id) pair becomes z = label * features assigned to its
     client; afterwards all z are divided by the largest norm so the maximum is
-    exactly 1. Client ids must cover 0..M-1 with no empty client.
+    at most 1. Client ids must cover 0..M-1 with no empty client.
     """
     if not raw:
         raise ValueError("empty input")
@@ -145,10 +163,13 @@ def prepare(raw: list[tuple[RawSample, int]]) -> FederatedDataset:
             raise ValueError(f"label must be -1 or +1, got {sample.label}")
         buckets[cid].append(sample.label * x)
     clients = [np.array(b) for b in buckets]
-    max_norm = max(float(np.max(np.linalg.norm(Z, axis=1))) for Z in clients)
+    max_norm = _max_norm(clients)
     if max_norm == 0.0:
         raise ValueError("all points are zero; cannot scale")
     clients = [Z / max_norm for Z in clients]
+    # rounding can leave the longest row's computed norm one ulp above 1
+    while (max_norm := _max_norm(clients)) > 1.0:
+        clients = [Z / max_norm for Z in clients]
     return FederatedDataset(clients=clients, d=d)
 
 

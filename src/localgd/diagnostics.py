@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import losses
+from . import losses, specialfn
 from .data import compute_margin
-from .errors import MissingTraceDataError
+from .errors import DegenerateGeometryError, MissingTraceDataError
 from .schedules import _pos_log
 
 __all__ = [
@@ -219,30 +219,28 @@ def _check_lyapunov(run, dataset):
 def _check_lyapunov_rate(run, dataset):
     """Lyapunov decay 1/(1/L_q + nu*(r-q)/2) with the observed projection floor.
 
-    nu = (1+c)*gmin / (4*(L0+1)^2*(1+exp(-gmax*floor))) where L0 is the
-    closed-form initial level max_m log(1+etaK*gamma_m^2)/gamma_m and the
-    floor is the smallest worst-client projection seen along the traced
-    rounds, so the check is meaningful for unthinned traces. Two clients only.
+    nu = (1+c)*gmin / (4*(L0+1)^2*(1+exp(-gmax*floor))) with the flow constants
+    of ``specialfn.theory_constants``; the floor is the smallest worst-client
+    projection seen along the traced rounds, so the check is meaningful for
+    unthinned traces. Two clients only; not applicable to degenerate geometry.
     """
     report = CheckReport(name="lyapunov-rate")
     traced = [t for t in run.traces if t.lyapunov is not None and t.rho is not None]
     if not traced or len(traced[0].rho) != 2 or run.config.eta is None:
         report.na_count = len(run.traces)
         return report
-    gammas = np.array([float(np.linalg.norm(Z[0])) for Z in dataset.clients])
-    U = np.array([Z[0] / np.linalg.norm(Z[0]) for Z in dataset.clients])
-    c = float(U[0] @ U[1])
-    gmin, gmax = float(gammas.min()), float(gammas.max())
     etaK = run.config.eta * run.config.K
-    L0 = max(math.log1p(etaK * g * g) / g for g in gammas)
     # floor over the trajectory of the worst client's projection
-    alphas = [t.a[int(np.argmax(t.rho))] for t in traced]
-    a_floor = min(alphas)
-    exp_arg = -gmax * a_floor
-    if exp_arg > 700.0 or c <= -1.0:
+    a_floor = min(t.a[int(np.argmax(t.rho))] for t in traced)
+    try:
+        tc = specialfn.theory_constants(specialfn.make_gf_state(*dataset.sample_geometry(), etaK), etaK)
+        exp_arg = -tc.gamma_max * a_floor
+    except DegenerateGeometryError:
+        exp_arg = math.inf
+    if exp_arg > 700.0:
         report.na_count = len(traced)
         return report
-    nu = (1.0 + c) * gmin / (4.0 * (L0 + 1.0) ** 2 * (1.0 + math.exp(exp_arg)))
+    nu = (1.0 + tc.c) * tc.gamma_min / (4.0 * (tc.L0 + 1.0) ** 2 * (1.0 + math.exp(exp_arg)))
     Lq = traced[0].lyapunov
     q = traced[0].r
     for t in traced[1:]:

@@ -268,17 +268,6 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
     )
 
 
-def _margin_geometry(dataset):
-    if any(Z.shape[0] != 1 for Z in dataset.clients):
-        raise ValueError("margin-space runs need exactly one sample per client")
-    points = np.array([Z[0] for Z in dataset.clients])
-    gammas = np.linalg.norm(points, axis=1)
-    if np.any(gammas == 0):
-        raise ValueError("margin-space runs need nonzero samples")
-    directions = points / gammas[:, None]
-    return gammas, directions
-
-
 def _out_of_domain(r, traces, err):
     """Round r's iterate is finite, but its flow margins are beyond what the
     surrogate losses can represent: the run ends there, as on divergence."""
@@ -311,7 +300,7 @@ def _margin_traces(dataset, w0, U, rounds_traced, a_hist, C_hist, eta, lyap=None
 
 def _run_margin_engine(dataset, config: RunConfig) -> RunResult:
     eta = config.eta
-    gammas, U = _margin_geometry(dataset)
+    gammas, U = dataset.sample_geometry()
     w0 = _initial_weights(dataset, config)
     a0 = U @ w0
     G = U @ U.T
@@ -431,7 +420,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     if config.eta <= 0:
         raise ValueError(f"eta must be positive, got {config.eta}")
     eta = config.eta
-    n1 = all(Z.shape[0] == 1 for Z in dataset.clients)
+    n1 = dataset.one_sample_per_client
     method = config.gf_method
     if method == "auto":
         method = "exact" if n1 else "numeric"
@@ -446,7 +435,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     if method == "exact":
         if not np.all(np.isfinite(w)):
             raise DivergenceError(0, [])  # as the numeric flow reports a non-finite start
-        gammas, U = _margin_geometry(dataset)
+        gammas, U = dataset.sample_geometry()
         state = specialfn.make_gf_state(gammas, U, etaK, a=U @ w)
 
         def step(w, _rep):
@@ -460,7 +449,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
 
         traces, final = _round_loop(dataset, w, config, eta, step, lyap)
     elif n1:
-        gammas, U = _margin_geometry(dataset)
+        gammas, U = dataset.sample_geometry()
         rounds_traced, a_hist, C_hist, err_max = gf_numeric_margin(
             gammas, U @ U.T, U @ w, eta, config.K, config.R,
             config.gf_substeps, stride=config.trace_every,

@@ -146,8 +146,7 @@ class GfState:
     gammas[m] is the norm of client m's folded sample, gram the M x M Gram
     matrix of the unit vectors u_m along the samples, a[m] the projection of
     the current average iterate onto u_m, rho[m] the surrogate loss, and
-    lyapunov = max(rho). c is gram[0][1] and is only geometrically meaningful
-    when M = 2.
+    lyapunov = max(rho).
     """
 
     gammas: np.ndarray
@@ -155,7 +154,6 @@ class GfState:
     a: np.ndarray
     rho: np.ndarray
     lyapunov: float
-    c: float
 
 
 def make_gf_state(gammas, directions, etaK, a=None) -> GfState:
@@ -179,7 +177,6 @@ def make_gf_state(gammas, directions, etaK, a=None) -> GfState:
         a=a,
         rho=rho,
         lyapunov=float(rho.max()),
-        c=float(gram[0, 1]) if M >= 2 else 1.0,
     )
 
 
@@ -202,10 +199,6 @@ def gf_round(state: GfState, etaK: float) -> GfState:
     )
 
 
-def _log1p_ratio(etaK, gamma):
-    return math.log1p(etaK * gamma * gamma) / gamma
-
-
 @dataclass(frozen=True)
 class TheoryConstants:
     """Rate constants and envelope evaluators for two-client exact flow runs.
@@ -213,10 +206,9 @@ class TheoryConstants:
     L0 and H0 are the max resp. min over clients of log(1 + etaK*gamma^2)/gamma.
     tau is the main transition time; tau0/tau1 belong to the variant envelope
     with its warm-in threshold; nu is the per-two-rounds contraction constant
-    used by the variant form; a_floor bounds the margin projections from below.
-    Any of tau, tau0, tau1 may be +inf when the geometry makes the closed-form
-    constants overflow, in which case the corresponding envelope is never
-    applicable.
+    used by the variant form. Any of tau, tau0, tau1 may be +inf when the
+    geometry makes the closed-form constants overflow, in which case the
+    corresponding envelope is never applicable.
     """
 
     L0: float
@@ -227,7 +219,6 @@ class TheoryConstants:
     gamma_min: float
     gamma_max: float
     etaK: float
-    a_floor: float
     tau0: float
     tau1: float
 
@@ -255,19 +246,22 @@ def theory_constants(state: GfState, etaK: float) -> TheoryConstants:
     """Rate constants for a two-client, one-sample-per-client flow run.
 
     Exponentials that would overflow are mapped to +inf transition times, which
-    downstream envelope checks treat as "never applicable".
+    downstream envelope checks treat as "never applicable". Antipodal clients,
+    and an etaK*gamma^2 that underflows to 0, raise DegenerateGeometryError.
     """
     if len(state.gammas) != 2:
         raise ValueError("theory constants are defined for exactly two clients")
-    c = state.c
+    c = float(state.gram[0, 1])
     if c <= -1.0:
         raise DegenerateGeometryError(f"antipodal client directions (c={c})")
     if etaK <= 0.0:
         raise ValueError(f"etaK must be positive, got {etaK}")
     g1, g2 = float(state.gammas[0]), float(state.gammas[1])
     gmin, gmax = min(g1, g2), max(g1, g2)
-    vals = (_log1p_ratio(etaK, g1), _log1p_ratio(etaK, g2))
+    vals = [math.log1p(etaK * g * g) / g for g in (g1, g2)]
     L0, H0 = max(vals), min(vals)
+    if H0 == 0.0:
+        raise DegenerateGeometryError(f"etaK*gamma^2 underflows to 0 (gamma_min={gmin})")
     lead = 16.0 * (L0 + 1.0) ** 2 / ((1.0 + c) * gmin)
 
     # tau's first term is (1/H0 - 1/L0) * (L0/H0)^p, evaluated in log space.
@@ -304,7 +298,6 @@ def theory_constants(state: GfState, etaK: float) -> TheoryConstants:
         gamma_min=gmin,
         gamma_max=gmax,
         etaK=etaK,
-        a_floor=a_floor,
         tau0=tau0,
         tau1=tau1,
     )

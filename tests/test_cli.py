@@ -58,6 +58,12 @@ class TestGenData:
             "--M", "5", "--n", "8", "--s", "0.25", "--seed", "1", "--out", str(out2),
         ])
         assert out.read_bytes() == out2.read_bytes()
+        assert doc["source"]["n_total"] == 40
+        # the pool is always M*n samples, so there is no flag to set it
+        assert cli.main([
+            "gen-data", "mnist", "--images", str(img), "--labels", str(lbl),
+            "--M", "5", "--n", "8", "--n-total", "40", "--out", str(out2),
+        ]) == cli.EXIT_USAGE
 
 
 GOLDEN_RUNS = {
@@ -296,6 +302,20 @@ class TestSweep:
         assert calls == [str(synthetic_file)]
         assert cli._sweep_dataset is None
 
+    def test_sweep_fingerprints_dataset_once(self, synthetic_file, tmp_path, monkeypatch):
+        calls = []
+        fingerprint = FederatedDataset.fingerprint
+        monkeypatch.setattr(FederatedDataset, "fingerprint",
+                            lambda ds: calls.append(1) or fingerprint(ds))
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        counts = []
+        for grid in ("1", "1,2,3,4"):
+            calls.clear()
+            assert cli.main(["sweep", "--dataset", str(synthetic_file), "--eta", "1", "--R", "3",
+                             "--K-grid", grid, "--out-dir", str(tmp_path / grid)]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_worker_count(self, synthetic_file, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("LOCALGD_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -403,6 +423,12 @@ class TestCheckCommand:
         assert code == cli.EXIT_IO
         bad.write_text("{broken")
         assert cli.main(["check", "--run", str(bad), "--dataset", str(synthetic_file)]) == cli.EXIT_IO
+        # a config that is not an object, or that RunConfig rejects
+        summary = json.loads(self._run(synthetic_file, tmp_path).read_text())
+        for config in ([], {**summary["config"], "R": 0}, {**summary["config"], "engine": "gpu"}):
+            bad.write_text(json.dumps({**summary, "config": config}))
+            code = cli.main(["check", "--run", str(bad), "--dataset", str(synthetic_file)])
+            assert code == cli.EXIT_IO, config
 
 
 class TestExitCodes:

@@ -41,6 +41,14 @@ class TestPrepare:
         norms = np.concatenate([np.linalg.norm(Z, axis=1) for Z in ds.clients])
         assert abs(norms.max() - 1.0) <= 1e-12
 
+    def test_max_norm_at_most_one_under_row_norms(self):
+        from conftest import random_dataset
+
+        # one division by the largest norm left this dataset's longest row
+        # at 1.0000000000000002 under the row-norm formula the runs use
+        ds = random_dataset(np.random.default_rng(10824567), M=3, n=1, d=2)
+        assert np.linalg.norm(ds.all_points(), axis=1).max() <= 1.0
+
     def test_idempotent(self, rng):
         raw = [(RawSample(rng.normal(size=3), int(rng.choice([-1, 1]))), m)
                for m in range(2) for _ in range(3)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from localgd import diagnostics, losses
-from localgd.data import SyntheticSpec, compute_margin, gen_synthetic
+from localgd.data import FederatedDataset, SyntheticSpec, compute_margin, gen_synthetic
 from localgd.errors import MissingTraceDataError
 from localgd.optim import RunConfig, run_local_gd, run_local_gf, run_two_stage
 from localgd.schedules import theory_eta1, theory_r0
@@ -200,6 +200,22 @@ class TestCheckRun:
         assert "stable-rate" not in reports
         explicit = diagnostics.check_run(res, ds, checks=["stable-rate"])
         assert explicit[0].name == "stable-rate"
+
+    def test_lyapunov_rate_needs_one_sample_per_client(self, rng):
+        res = run_local_gf(gen_synthetic(SyntheticSpec(delta=0.1, g=5)), RunConfig(R=5, K=2, eta=1.0))
+        multi = random_dataset(rng, M=2, n=3, d=2)
+        with pytest.raises(ValueError, match="one sample per client"):
+            diagnostics.check_run(res, multi, checks=["lyapunov-rate"])
+
+    @pytest.mark.parametrize("second, eta", [([-1.0, 0.0], 1.0), ([1e-160, 0.0], 1e-5)])
+    def test_lyapunov_rate_not_applicable_to_degenerate_geometry(self, second, eta):
+        # antipodal clients, and a client whose etaK*gamma^2 underflows to 0
+        ds = FederatedDataset(clients=[np.array([[1.0, 0.0]]), np.array([second])], d=2)
+        res = run_local_gf(ds, RunConfig(R=6, K=2, eta=eta))
+        (report,) = diagnostics.check_run(res, ds, checks=["lyapunov-rate"])
+        assert report.passed
+        assert report.instances_checked == 0
+        assert report.na_count == len(res.traces)
 
     def test_explicit_request_without_data_fails(self, rng):
         ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))

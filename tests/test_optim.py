@@ -13,7 +13,6 @@ from localgd.errors import DivergenceError
 from localgd.optim import (
     AVERAGING_MODES,
     RunConfig,
-    _margin_geometry,
     local_gd_round,
     run_local_gd,
     run_local_gf,
@@ -325,7 +324,7 @@ class TestRunLocalGf:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # coarse substeps warn about err_max
             numeric = run_local_gf(ds, RunConfig(gf_method="numeric", gf_substeps=substeps, **cfg))
-        gammas, U = _margin_geometry(ds)
+        gammas, U = ds.sample_geometry()
         err_max = gf_numeric_margin(gammas, U @ U.T, np.zeros(M), eta, K, R, substeps)[-1]
         # err_max, the gap to a half-resolution run, overestimates one round's
         # RK4 error about 15-fold (fourth order); R of them for R rounds left a

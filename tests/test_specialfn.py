@@ -489,6 +489,12 @@ class TestTheoryConstants:
         with pytest.raises(DegenerateGeometryError):
             specialfn.theory_constants(state, 1.0)
 
+    def test_underflowing_surrogate_scale_rejected(self):
+        # etaK*gamma^2 = 1e-325 rounds to 0, so H0 = 0 and 1/H0 is undefined
+        state = _state([1.0, 1e-160], 0.5, 1e-5)
+        with pytest.raises(DegenerateGeometryError, match="underflows"):
+            specialfn.theory_constants(state, 1e-5)
+
     def test_finite_tau_against_independent_evaluation(self):
         gammas, c, etaK = [1.0, 0.8], 0.5, 2.0
         tc = specialfn.theory_constants(_state(gammas, c, etaK), etaK)
