@@ -34,6 +34,7 @@ from .data import (
     load_mnist_idx,
     partition_heterogeneous,
     save_dataset,
+    write_json,
 )
 from .errors import DivergenceError, IdxFormatError
 from .optim import RoundTrace, RunConfig
@@ -73,26 +74,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_names(text):
-    """--checks value: the listed check names, all known (None when empty)."""
-    if not text:
-        return None
-    names = [c.strip() for c in text.split(",") if c.strip()]
-    unknown = [n for n in names if n not in diagnostics.RUN_CHECKS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown check(s) {', '.join(unknown)}; "
-            f"available: {', '.join(diagnostics.RUN_CHECKS)}"
-        )
-    return names
+def _comma_list(noun, convert=str, choices=None, empty_is_none=True):
+    """argparse type of a comma-separated flag: a tuple of entries through ``convert`` (None
+    if empty and ``empty_is_none``); with ``choices``, blanks are dropped and the rest checked."""
+    def parse(text):
+        if empty_is_none and not text:
+            return None
+        try:
+            entries = tuple(e for e in map(convert, text.split(",")) if choices is None or e)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}") from None
+        unknown = [e for e in entries if choices is not None and e not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {noun}(s) {', '.join(unknown)}; available: {', '.join(choices)}")
+        return entries
+    return parse
 
 
-def _int_list(text):
-    """--K-grid value: comma-separated integers."""
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+_check_names = _comma_list("check", str.strip, diagnostics.RUN_CHECKS)
 
 
 def _fmt(x):
@@ -124,12 +124,6 @@ def _write_csv(path, traces, M, meta=None):
         f.write("\n".join(lines) + "\n")
 
 
-def _json_dump(path, doc):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-
 def _add_run_flags(p):
     p.add_argument("--dataset", required=True, help="dataset JSON file")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="local-gd")
@@ -147,11 +141,13 @@ def _add_run_flags(p):
     p.add_argument("--gf-method", choices=optim.GF_METHODS, default="auto")
     p.add_argument("--engine", choices=optim.ENGINES, default="numpy")
     p.add_argument("--trace-every", type=int, default=1)
-    p.add_argument("--w0", help="comma-separated initial weights (default: zeros)")
+    p.add_argument("--w0", type=_comma_list("number", float),
+                   help="comma-separated initial weights (default: zeros)")
     p.add_argument("--seed", type=int)
     p.add_argument("--checks", type=_check_names,
                    help="comma-separated check names to run afterwards")
-    p.add_argument("--emit", default="csv,json", help="artifacts to write (csv,json)")
+    p.add_argument("--emit", type=_comma_list("artifact", str.strip, ("csv", "json"), empty_is_none=False),
+                   default="csv,json", help="artifacts to write (csv,json)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--name", default="run", help="basename for output files")
     p.add_argument("--config", help="JSON file with defaults for these flags")
@@ -182,9 +178,10 @@ def build_parser():
 
     sweep = sub.add_parser("sweep", help="run a (K x policy) grid")
     _add_run_flags(sweep)
-    sweep.add_argument("--K-grid", type=_int_list,
+    sweep.add_argument("--K-grid", type=_comma_list("integer", int, empty_is_none=False),
                        help="comma-separated K values (overrides --K)")
-    sweep.add_argument("--policy-grid", help="comma-separated policies (overrides --policy)")
+    sweep.add_argument("--policy-grid", type=_comma_list("policy"),
+                       help="comma-separated policies (overrides --policy)")
 
     chk = sub.add_parser("check", help="re-verify analysis checks on run artifacts")
     chk.add_argument("--run", required=True, help="summary JSON written by `run`")
@@ -228,9 +225,6 @@ def _resolve_policy(args):
 
 def _run_config(args):
     stepsizes = _resolve_policy(args)
-    w0 = None
-    if getattr(args, "w0", None):
-        w0 = tuple(float(v) for v in args.w0.split(","))
     return RunConfig(
         R=args.R,
         K=args.K,
@@ -240,7 +234,7 @@ def _run_config(args):
         gf_method=args.gf_method,
         engine=args.engine,
         trace_every=args.trace_every,
-        w0=w0,
+        w0=args.w0,
         seed=args.seed,
         **stepsizes,
     )
@@ -332,13 +326,12 @@ def _cmd_run(args, loaded=None):
         checks = diagnostics.check_run(result, dataset, checks=args.checks)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    emit = {e.strip() for e in args.emit.split(",")}
     base = os.path.join(args.out_dir, args.name)
-    if "csv" in emit:
+    if "csv" in args.emit:
         meta = _csv_meta_line(config, fingerprint, args.seed)
         _write_csv(base + ".csv", result.traces, dataset.M, meta=meta)
-    if "json" in emit:
-        _json_dump(base + ".json", _summary_doc(args, config, dataset, fingerprint, result, diverged_at, checks))
+    if "json" in args.emit:
+        write_json(base + ".json", _summary_doc(args, config, dataset, fingerprint, result, diverged_at, checks))
     if diverged_at is not None:
         print(f"divergence at round {diverged_at}; partial traces written", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -388,7 +381,7 @@ def _sweep_workers(n_cells):
 
 def _cmd_sweep(args):
     ks = args.K_grid or [args.K]
-    policies = (args.policy_grid or args.policy).split(",")
+    policies = args.policy_grid or [args.policy]
     cells = [
         argparse.Namespace(**{**vars(args), "command": "run", "K": K, "policy": policy,
                               "name": f"cell_K{K}_{policy.replace('-', '_')}"})
@@ -420,7 +413,7 @@ def _cmd_sweep(args):
         "grid": {"K": ks, "policy": policies},
         "cells": results,
     }
-    _json_dump(os.path.join(args.out_dir, "index.json"), index)
+    write_json(os.path.join(args.out_dir, "index.json"), index)
     codes = [r["exit"] for r in results]
     return max(codes) if codes else EXIT_OK
 
@@ -447,12 +440,16 @@ def _cmd_gen_data(args):
 
 
 def _load_run_artifacts(path):
+    """The RunResult a summary file records, and its dataset's fingerprint."""
     with open(path) as f:
         doc = json.load(f)
     try:
         traces = [RoundTrace(**t) for t in doc["traces"]]
         cfg_doc = {k: v for k, v in doc["config"].items() if k not in ("optimizer", "policy")}
         config = RunConfig(**cfg_doc)
+        fingerprint = doc["dataset"]["fingerprint"]
+        if not isinstance(fingerprint, str):
+            raise TypeError("dataset fingerprint is not a string")
     except (KeyError, TypeError, AttributeError, ValueError) as err:
         raise IdxFormatError(f"{path}: not a run summary file ({err})") from None
     return optim.RunResult(
@@ -461,21 +458,24 @@ def _load_run_artifacts(path):
         averaged_weights=None,
         config=config,
         optimizer=doc["config"].get("optimizer", "local-gd"),
-    )
+    ), fingerprint
 
 
 def _cmd_check(args):
-    result = _load_run_artifacts(args.run)
-    dataset = load_dataset(args.dataset)
+    result, run_fingerprint = _load_run_artifacts(args.run)
+    dataset, fingerprint = _load_fingerprinted(args.dataset)
+    if fingerprint != run_fingerprint:
+        raise UsageError(f"{args.dataset} has fingerprint {fingerprint}, "
+                         f"but {args.run} ran on {run_fingerprint}")
     reports = diagnostics.check_run(result, dataset, checks=args.checks)
     doc = {
         "artifact": {"name": "localgd", "version": __version__},
         "run": str(args.run),
-        "dataset_fingerprint": dataset.fingerprint(),
+        "dataset_fingerprint": fingerprint,
         "reports": [r.to_dict() for r in reports],
     }
     if args.out:
-        _json_dump(args.out, doc)
+        write_json(args.out, doc)
     else:
         print(json.dumps(doc, indent=2))
     if any(not r.passed and not r.informational for r in reports):
@@ -508,24 +508,25 @@ def _cmd_envelope(args):
 
 
 def _apply_config_file(argv):
-    # split --config=path so that both forms are found below
-    argv = [p for a in argv for p in (a.split("=", 1) if a.startswith("--config=") else [a])]
-    if "--config" not in argv:
+    """``argv`` with its --config entries as --flag=value tokens after the subcommand."""
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config needs a file argument")
-    with open(argv[idx + 1]) as f:
-        defaults = json.load(f)
-    if not isinstance(defaults, dict):
+    with open(path) as f:
+        entries = json.load(f)
+    if not isinstance(entries, dict):
         raise UsageError("config file must hold a JSON object")
-    out = list(argv)
-    for key, value in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        given = any(a == flag or a.startswith(flag + "=") for a in argv)
-        if not given and value is not None:
-            out += [flag, str(value)]
-    return out
+    tokens = []
+    for key, value in entries.items():
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, (list, dict)) for v in items):
+            raise UsageError(f"config entry {key!r} must be a number, a string or a flat list")
+        if value is not None:
+            tokens.append(f"--{key.replace('_', '-')}={','.join(map(str, items))}")
+    # argparse keeps the last value of a flag, so the command line wins
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def main(argv=None) -> int:

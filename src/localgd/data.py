@@ -30,6 +30,7 @@ __all__ = [
     "partition_heterogeneous",
     "compute_margin",
     "save_dataset",
+    "write_json",
     "load_dataset",
 ]
 
@@ -385,6 +386,11 @@ def save_dataset(ds: FederatedDataset, path, extra=None):
     if extra:
         doc.update(extra)
     doc.update(_dataset_payload(ds))
+    write_json(path, doc)
+
+
+def write_json(path, doc):
+    """Write ``doc`` as the JSON artifact format: two-space indent, final newline."""
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")

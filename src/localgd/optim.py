@@ -30,7 +30,6 @@ __all__ = [
     "RunConfig",
     "RoundTrace",
     "RunResult",
-    "local_gd_round",
     "run_local_gd",
     "run_two_stage",
     "run_local_gf",
@@ -181,20 +180,6 @@ def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
         if sums:
             iterate_sum = iterate_sum + client_sum
     return sum(finals, np.zeros_like(w_bar)) / dataset.M, finals, drift, bias, iterate_sum
-
-
-def local_gd_round(dataset, w_bar, K, eta):
-    """One communication round: K local steps per client, then the average.
-
-    Returns (w_next, client_finals, drift_max) with the average reduced in
-    ascending client order; drift_max is the largest deviation of any local
-    iterate from w_bar during the round.
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    w_bar = np.asarray(w_bar, dtype=np.float64)
-    w_next, finals, drift, _bias, _sum = _gd_round(dataset, w_bar, None, K, eta, True, False)
-    return w_next, finals, max([0.0, *drift])
 
 
 def _traced(r, R, every):

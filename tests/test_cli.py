@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -416,6 +418,17 @@ class TestCheckCommand:
             assert "available" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    def test_dataset_must_be_the_runs(self, synthetic_file, tmp_path, capsys):
+        summary = self._run(synthetic_file, tmp_path)
+        other = tmp_path / "other.json"
+        assert cli.main(["gen-data", "synthetic", "--delta", "10", "--g", "1", "--out", str(other)]) == 0
+        capsys.readouterr()
+        code = cli.main(["check", "--run", str(summary), "--dataset", str(other)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        for path in (synthetic_file, other):
+            assert json.loads(path.read_text())["fingerprint"] in err
+
     def test_corrupted_summary_is_format_error(self, synthetic_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"traces": "nope"}')
@@ -429,6 +442,11 @@ class TestCheckCommand:
             bad.write_text(json.dumps({**summary, "config": config}))
             code = cli.main(["check", "--run", str(bad), "--dataset", str(synthetic_file)])
             assert code == cli.EXIT_IO, config
+        # a summary that does not say which dataset it ran on
+        for dataset in ({}, {**summary["dataset"], "fingerprint": None}):
+            bad.write_text(json.dumps({**summary, "dataset": dataset}))
+            code = cli.main(["check", "--run", str(bad), "--dataset", str(synthetic_file)])
+            assert code == cli.EXIT_IO, dataset
 
 
 class TestExitCodes:
@@ -492,17 +510,86 @@ class TestExitCodes:
     def test_config_file_supplies_defaults(self, synthetic_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"R": 6, "K": 2, "eta": 0.5, "out_dir": str(tmp_path)}))
-        for name, form in (("fromcfg", ["--config", str(cfg)]), ("eqform", [f"--config={cfg}"])):
+        forms = (("fromcfg", ["--config", str(cfg)]), ("eqform", [f"--config={cfg}"]),
+                 ("abbrev", ["--conf", str(cfg)]), ("abbrev_eq", [f"--conf={cfg}"]),
+                 ("last", ["--config", str(tmp_path / "absent.json"), "--config", str(cfg)]))
+        for name, form in forms:
             code = cli.main(["run", "--dataset", str(synthetic_file), *form, "--name", name])
-            assert code == 0
+            assert code == 0, name
             rows = (tmp_path / f"{name}.csv").read_text().strip().split("\n")[2:]
             assert [int(r.split(",")[0]) for r in rows] == list(range(7))
 
     def test_command_line_beats_config_in_equals_form(self, synthetic_file, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"R": 10, "K": 2, "eta": 0.5}))
-        code = cli.main(["run", "--dataset", str(synthetic_file), "--R=3", "--config", str(cfg),
-                         "--out-dir", str(tmp_path), "--name", "eq"])
-        assert code == 0
-        rows = (tmp_path / "eq.csv").read_text().strip().split("\n")[2:]
-        assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]
+        cfg.write_text(json.dumps({"R": 10, "K": 2, "eta": 0.5, "out_dir": str(tmp_path / "cfg")}))
+        out = str(tmp_path / "cli")
+        # every spelling argparse accepts beats the config, abbreviations included
+        for i, flags in enumerate((["--R=3", "--out-dir", out], ["--R", "3", "--out", out],
+                                   ["--R", "3", f"--out={out}"], ["--R=3", "--out-d", out])):
+            code = cli.main(["run", "--dataset", str(synthetic_file), *flags, "--config", str(cfg),
+                             "--name", f"eq{i}"])
+            assert code == 0, flags
+            assert not (tmp_path / "cfg").exists(), flags
+            rows = (tmp_path / "cli" / f"eq{i}.csv").read_text().strip().split("\n")[2:]
+            assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]
+
+    def test_config_values_parse_like_flags(self, synthetic_file, tmp_path, monkeypatch):
+        # a JSON list is the comma-separated flag value; a string may start with "-"
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        common = ["--dataset", str(synthetic_file), "--eta", "0.5", "--R", "3"]
+        cases = (
+            ("sweep", {"K_grid": [1, 2], "w0": [0.1, 0.2], "checks": ["drift", "bias"]},
+             ["--K-grid", "1,2", "--w0", "0.1,0.2", "--checks", "drift,bias"]),
+            ("run", {"w0": "-1,2", "checks": "drift", "seed": None}, ["--w0=-1,2", "--checks", "drift"]),
+            ("run", {"w0": [-1, 2.5], "emit": ["json"]}, ["--w0=-1,2.5", "--emit", "json"]),
+        )
+        for i, (command, entries, flags) in enumerate(cases):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(entries))
+            a, b = tmp_path / f"cfg{i}", tmp_path / f"flags{i}"
+            assert cli.main([command, *common, "--config", str(cfg), "--out-dir", str(a)]) == 0
+            assert cli.main([command, *common, *flags, "--out-dir", str(b)]) == 0
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir()), i
+            for name in names:
+                if name.endswith(".json"):
+                    assert json.loads((a / name).read_text()) == json.loads((b / name).read_text())
+                else:
+                    assert (a / name).read_bytes() == (b / name).read_bytes()
+        # nested values, a file that is not an object, and a bare --config
+        for i, bad in enumerate(({"w0": [[1, 2]]}, {"K": {"value": 2}}, [1, 2])):
+            cfg = tmp_path / f"bad{i}.json"
+            cfg.write_text(json.dumps(bad))
+            assert cli.main(["run", *common, "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "bad")]) == cli.EXIT_USAGE
+        assert cli.main(["run", *common, "--out-dir", str(tmp_path / "bad"), "--config"]) == cli.EXIT_USAGE
+        assert not (tmp_path / "bad").exists()
+
+    def test_list_flag_values_are_checked_before_anything_runs(self, synthetic_file, tmp_path, capsys):
+        common = ["--dataset", str(synthetic_file), "--eta", "0.5", "--R", "3",
+                  "--out-dir", str(tmp_path / "out")]
+        for flags, flag in ((["--emit", "cvs"], "--emit"), (["--emit", "csv,cvs"], "--emit"),
+                            (["--w0", "1,x"], "--w0"), (["--w0=1,,2"], "--w0")):
+            assert cli.main(["run", *common, *flags]) == cli.EXIT_USAGE, flags
+            assert f"argument {flag}:" in capsys.readouterr().err, flags
+            assert not (tmp_path / "out").exists()
+        # blank --emit entries are skipped, and an empty --emit writes nothing
+        assert cli.main(["run", *common, "--emit", " csv,,", "--name", "c"]) == 0
+        assert cli.main(["run", *common, "--emit", "", "--name", "none"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["c.csv"]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_parse():
+    text = README.read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [c for c in commands if c]
+    assert {c[0] for c in commands} == {"localgd"}
+    assert {c[1] for c in commands} == {"gen-data", "run", "sweep", "check", "envelope"}
+    parser = cli.build_parser()
+    for command in commands:
+        parser.parse_args(command[1:])

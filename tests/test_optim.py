@@ -13,7 +13,6 @@ from localgd.errors import DivergenceError
 from localgd.optim import (
     AVERAGING_MODES,
     RunConfig,
-    local_gd_round,
     run_local_gd,
     run_local_gf,
     run_two_stage,
@@ -40,19 +39,24 @@ def reference_gd(dataset, eta, rounds):
     return iterates
 
 
+def one_round(ds, w, K, eta):
+    """The average after one round from w, and the largest drift of any local iterate."""
+    res = run_local_gd(ds, RunConfig(R=1, K=K, eta=eta, w0=tuple(w)))
+    return res.final_weights, max([0.0, *res.traces[0].drift])
+
+
 class TestLocalGdRound:
     def test_single_step_is_full_gd(self, rng):
         ds = random_dataset(rng, M=3, n=2, d=4)
         w = rng.normal(size=4)
-        w_next, finals, _ = local_gd_round(ds, w, K=1, eta=0.7)
+        w_next, _ = one_round(ds, w, K=1, eta=0.7)
         rep = losses.objective(ds, w)
         np.testing.assert_allclose(w_next, w - 0.7 * rep.grad, atol=1e-15)
-        assert len(finals) == 3
 
     def test_single_client_is_sequential_gd(self, rng):
         ds = random_dataset(rng, M=1, n=4, d=3)
         w = rng.normal(size=3)
-        w_next, _, _ = local_gd_round(ds, w, K=5, eta=0.5)
+        w_next, _ = one_round(ds, w, K=5, eta=0.5)
         v = w.copy()
         for _ in range(5):
             v = v - 0.5 * losses.client_gradient(ds, 0, v)
@@ -63,7 +67,7 @@ class TestLocalGdRound:
             ds = random_dataset(rng, M=2, n=3, d=4)
             w = rng.normal(size=4)
             K = 6
-            _, _, drift_max = local_gd_round(ds, w, K=K, eta=eta)
+            _, drift_max = one_round(ds, w, K=K, eta=eta)
             worst = max(losses.client_value(ds, m, w) for m in range(ds.M))
             assert drift_max <= eta * K * worst + 1e-10
 
@@ -76,7 +80,7 @@ class TestLocalGdRound:
             v = w.copy()
             prev = losses.client_value(sub, 0, v)
             for _ in range(8):
-                v, _, _ = local_gd_round(sub, v, K=1, eta=7.9)
+                v, _ = one_round(sub, v, K=1, eta=7.9)
                 cur = losses.client_value(sub, 0, v)
                 assert cur <= prev + 1e-12
                 prev = cur
