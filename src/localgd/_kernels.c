@@ -7,9 +7,9 @@
  * that far out is e / inf = 0, the rule the Python bodies apply.
  *
  * Arrays are C-contiguous: G is M x M, a_hist and C_hist are slots x M.
- * A run stops after the first round that leaves a non-finite a or C; that
- * round is the last history slot. The return value is the number of slots
- * written.
+ * A run stops at the first round, 0 included, that breaks the divergence
+ * rule (see _kernels.py); that round goes to r_hist[slot], the first slot
+ * left unwritten. The return value is the number of slots written.
  */
 #include <math.h>
 #include <stdint.h>
@@ -23,10 +23,9 @@ static void record(int64_t M, const double *a, const double *C, int64_t r,
     r_hist[slot] = r;
 }
 
-/* a += G delta / M and C += delta; returns 0 if any a or C is non-finite */
-static int average(int64_t M, const double *G, double *a, double *C, const double *delta)
+/* a += G delta / M and C += delta */
+static void average(int64_t M, const double *G, double *a, double *C, const double *delta)
 {
-    int finite = 1;
     for (int64_t m = 0; m < M; m++) {
         const double *Gm = G + m * M;
         double upd = 0.0;
@@ -34,19 +33,35 @@ static int average(int64_t M, const double *G, double *a, double *C, const doubl
             upd += Gm[mm] * delta[mm];
         a[m] = a[m] + upd / (double)M;
         C[m] += delta[m];
-        finite &= isfinite(a[m]) && isfinite(C[m]);
     }
-    return finite;
 }
 
-int64_t localgd_local_gd_margin(int64_t M, const double *gammas, const double *G, double *a,
-                                double eta, int64_t K, int64_t rounds, int64_t stride,
-                                double *C, double *C_sum, double *S_local, double *delta,
+/* the divergence rule: w = w0 + U^T C / M has a finite ||w||^2 = ||w0||^2 + sum_m
+ * (C_m / M)(a0_m + a_m) and, for the flow (gammas), every |gamma_m a_m| <= 700 */
+static int rule_holds(int64_t M, const double *gammas, const double *a0, double w0_sq,
+                      const double *a, const double *C)
+{
+    double s = 0.0;
+    for (int64_t m = 0; m < M; m++) {
+        s += C[m] / (double)M * (a0[m] + a[m]);
+        if (gammas && !(fabs(gammas[m] * a[m]) <= 700.0))
+            return 0;
+    }
+    return isfinite(w0_sq + s);
+}
+
+int64_t localgd_local_gd_margin(int64_t M, const double *gammas, const double *G,
+                                const double *a0, double w0_sq, double *a, double eta,
+                                int64_t K, int64_t rounds, int64_t stride, double *C,
+                                double *C_sum, double *S_local, double *delta,
                                 double *a_hist, double *C_hist, int64_t *r_hist)
 {
-    record(M, a, C, 0, a_hist, C_hist, r_hist, 0);
-    int64_t slot = 1;
-    for (int64_t r = 0; r < rounds; r++) {
+    int64_t slot = 0, r;
+    for (r = 0; rule_holds(M, NULL, a0, w0_sq, a, C); r++) {
+        if (r % stride == 0 || r == rounds)
+            record(M, a, C, r, a_hist, C_hist, r_hist, slot++);
+        if (r == rounds)
+            return slot;
         for (int64_t m = 0; m < M; m++) {
             C_sum[m] += C[m];
             double am = a[m];
@@ -61,12 +76,9 @@ int64_t localgd_local_gd_margin(int64_t M, const double *gammas, const double *G
             S_local[m] += acc;
             delta[m] = al - am;
         }
-        int finite = average(M, G, a, C, delta);
-        if (!finite || (r + 1) % stride == 0 || r + 1 == rounds)
-            record(M, a, C, r + 1, a_hist, C_hist, r_hist, slot++);
-        if (!finite)
-            break;
+        average(M, G, a, C, delta);
     }
+    r_hist[slot] = r;
     return slot;
 }
 
@@ -89,17 +101,20 @@ static double rk4_flow(double a, double g, double eta, double t_total, int64_t s
     return a;
 }
 
-/* the substeps-vs-half-resolution error estimate goes to err_max[0] (0 when substeps is 1) */
-int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double *G, double *a,
-                                  double eta, int64_t K, int64_t rounds, int64_t substeps,
-                                  int64_t stride, double *C, double *delta, double *a_hist,
-                                  double *C_hist, int64_t *r_hist, double *err_max)
+/* raises err_max[0] to the substeps-vs-half-resolution error estimate (none when substeps is 1) */
+int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double *G,
+                                  const double *a0, double w0_sq, double *a, double eta,
+                                  int64_t K, int64_t rounds, int64_t substeps, int64_t stride,
+                                  double *C, double *delta, double *a_hist, double *C_hist,
+                                  int64_t *r_hist, double *err_max)
 {
     double T = (double)K;
-    double err = 0.0;
-    record(M, a, C, 0, a_hist, C_hist, r_hist, 0);
-    int64_t slot = 1;
-    for (int64_t r = 0; r < rounds; r++) {
+    int64_t slot = 0, r;
+    for (r = 0; rule_holds(M, gammas, a0, w0_sq, a, C); r++) {
+        if (r % stride == 0 || r == rounds)
+            record(M, a, C, r, a_hist, C_hist, r_hist, slot++);
+        if (r == rounds)
+            return slot;
         for (int64_t m = 0; m < M; m++) {
             double am = a[m];
             double g = gammas[m];
@@ -107,17 +122,13 @@ int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double 
             if (substeps >= 2) {
                 double half = rk4_flow(am, g, eta, T, substeps / 2);
                 double diff = fabs(end - half);
-                if (diff > err)
-                    err = diff;
+                if (diff > err_max[0])
+                    err_max[0] = diff;
             }
             delta[m] = end - am;
         }
-        int finite = average(M, G, a, C, delta);
-        if (!finite || (r + 1) % stride == 0 || r + 1 == rounds)
-            record(M, a, C, r + 1, a_hist, C_hist, r_hist, slot++);
-        if (!finite)
-            break;
+        average(M, G, a, C, delta);
     }
-    err_max[0] = err;
+    r_hist[slot] = r;
     return slot;
 }

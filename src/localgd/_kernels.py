@@ -5,8 +5,11 @@ updates move each client iterate only along u_m, so a whole run is determined
 by the scalar projections a_m = <w, u_m> and the Gram matrix of the
 directions. These kernels run the (rounds x K) recurrences; histories are
 sampled every ``stride`` rounds (round 0 and the final round always
-included). A run stops after the first round that leaves a non-finite a_m or
-C_m, and that round is its last history slot.
+included). Every round, 0 included, the kernels check the ||w||^2 and
+flow-range parts of optim's divergence rule for w = w0 + U^T C / M, summing
+||w||^2 = ||w0||^2 + (C.a0 + C.a) / M as (C_m / M) * (a0_m + a_m) so that no
+partial sum overflows where the total does not. A stop round goes to r_hist's
+first unused slot, which a run that finishes does not have.
 
 Each kernel has two backends that agree bitwise:
 
@@ -88,10 +91,10 @@ def _library():
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     n, x = ctypes.c_int64, ctypes.c_double
     lib.localgd_local_gd_margin.argtypes = (
-        [n, f64, f64, f64, x, n, n, n] + [f64] * 6 + [i64])
+        [n, f64, f64, f64, x, f64, x, n, n, n] + [f64] * 6 + [i64])
     lib.localgd_local_gd_margin.restype = n
     lib.localgd_gf_numeric_margin.argtypes = (
-        [n, f64, f64, f64, x, n, n, n, n] + [f64] * 4 + [i64, f64])
+        [n, f64, f64, f64, x, f64, x, n, n, n, n] + [f64] * 4 + [i64, f64])
     lib.localgd_gf_numeric_margin.restype = n
     return lib
 
@@ -100,49 +103,62 @@ def _trace_slots(rounds, stride):
     return rounds // stride + (1 if rounds % stride else 0) + 1
 
 
-def _kernel_args(c, slots, n_work, gammas, G, a0):
+def _kernel_args(c, slots, n_work, gammas, G, a0, w0_sq):
     """The buffers a kernel runs on: float64 arrays for C, else lists of Python floats.
 
-    Returns ``(gammas, G, a, work, hist)``: ``a`` is a fresh copy of ``a0``,
-    ``work`` holds ``n_work`` zeroed length-M buffers and ``hist`` the
-    (a_hist, C_hist, r_hist) histories with ``slots`` rows.
+    Returns ``(start, work, hist)``: ``start`` is (gammas, G, a0, w0_sq, a), ``a``
+    a fresh copy of ``a0``, ``work`` holds ``n_work`` zeroed length-M buffers and
+    ``hist`` the (a_hist, C_hist, r_hist) histories with ``slots`` rows.
     """
     gammas = np.ascontiguousarray(gammas, dtype=np.float64)
     G = np.ascontiguousarray(G, dtype=np.float64)
-    a = np.array(a0, dtype=np.float64)
+    a0 = np.ascontiguousarray(a0, dtype=np.float64)
     M = len(gammas)
-    if gammas.shape != (M,) or G.shape != (M, M) or a.shape != (M,):
+    if gammas.shape != (M,) or G.shape != (M, M) or a0.shape != (M,):
         raise ValueError(f"need M gammas, an M x M Gram matrix and M projections, got "
-                         f"shapes {gammas.shape}, {G.shape} and {a.shape}")
+                         f"shapes {gammas.shape}, {G.shape} and {a0.shape}")
     if c:
         work = [np.zeros(M) for _ in range(n_work)]
         hist = (np.zeros((slots, M)), np.zeros((slots, M)), np.zeros(slots, dtype=np.int64))
-        return gammas, G, a, work, hist
+        return (gammas, G, a0, float(w0_sq), a0.copy()), work, hist
     work = [[0.0] * M for _ in range(n_work)]
     hist = ([None] * slots, [None] * slots, [0] * slots)
-    return gammas.tolist(), G.tolist(), a.tolist(), work, hist
+    return (gammas.tolist(), G.tolist(), a0.tolist(), float(w0_sq), a0.tolist()), work, hist
 
 
-def _traced(hist, used):
-    """(rounds_traced, a_hist, C_hist) as arrays, cut to the ``used`` slots."""
+def _traced(hist, used, M):
+    """(rounds_traced, a_hist, C_hist, stop) cut to the ``used`` slots; ``stop`` is the
+    round the run stopped at, or None if it filled every slot."""
     a_hist, C_hist, r_hist = hist
     return (
         np.asarray(r_hist[:used], dtype=np.int64),
-        np.asarray(a_hist[:used], dtype=np.float64),
-        np.asarray(C_hist[:used], dtype=np.float64),
+        np.asarray(a_hist[:used], dtype=np.float64).reshape(used, M),
+        np.asarray(C_hist[:used], dtype=np.float64).reshape(used, M),
+        int(r_hist[used]) if used < len(r_hist) else None,
     )
 
 
-def _local_gd_margin_core(
-    gammas, G, a, eta, K, rounds, stride, C, C_sum, S_local, delta, a_hist, C_hist, r_hist
-):
-    isfinite = math.isfinite
+def _rule_holds(gammas, a0, w0_sq, a, C):
+    """Whether ||w||^2 is finite and, for the flow (gammas), every |gamma_m a_m| <= 700.
+    The bodies call it at round 0 and apply it inline, in its order, after each averaging."""
+    s = 0.0  # summed in order, as C does (sum() compensates from Python 3.12 on)
+    for m in range(len(a)):
+        s += C[m] / len(a) * (a0[m] + a[m])
+    return math.isfinite(w0_sq + s) and (
+        gammas is None or all(abs(g * am) <= 700.0 for g, am in zip(gammas, a)))
+
+
+def _local_gd_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, stride, C, C_sum, S_local,
+                          delta, a_hist, C_hist, r_hist):
     M = len(gammas)
-    a_hist[0] = a[:]
-    C_hist[0] = C[:]
-    r_hist[0] = 0
-    slot = 1
-    for r in range(rounds):
+    r = slot = 0
+    holds = _rule_holds(None, a0, w0_sq, a, C)
+    while holds:
+        if r % stride == 0 or r == rounds:
+            a_hist[slot], C_hist[slot], r_hist[slot] = a[:], C[:], r
+            slot += 1
+        if r == rounds:
+            return slot
         for m in range(M):
             C_sum[m] += C[m]
             am = a[m]
@@ -158,8 +174,8 @@ def _local_gd_margin_core(
                     al = al + e / (1.0 + math.inf)
             S_local[m] += acc
             delta[m] = al - am
-        # averaging inline, as in the flow body: a call per round costs ~5% at K=4
-        finite = True
+        # averaging and the rule inline, as in the flow body: a call per round costs ~5% at K=4
+        s = 0.0
         for m in range(M):
             Gm = G[m]
             upd = 0.0
@@ -167,36 +183,33 @@ def _local_gd_margin_core(
                 upd += Gm[mm] * delta[mm]
             a[m] = am = a[m] + upd / M
             C[m] = cm = C[m] + delta[m]
-            if not (isfinite(am) and isfinite(cm)):
-                finite = False
-        if not finite or (r + 1) % stride == 0 or r + 1 == rounds:
-            a_hist[slot] = a[:]
-            C_hist[slot] = C[:]
-            r_hist[slot] = r + 1
-            slot += 1
-        if not finite:
-            break
+            s += cm / M * (a0[m] + am)
+        holds = math.isfinite(w0_sq + s)
+        r += 1
+    r_hist[slot] = r
     return slot
 
 
-def local_gd_margin(gammas, G, a0, eta, K, rounds, stride=1):
-    """Run ``rounds`` local-GD rounds of K steps each in margin space.
+def local_gd_margin(gammas, G, a0, w0_sq, eta, K, rounds, stride=1):
+    """Run ``rounds`` local-GD rounds of K steps each in margin space from w0,
+    whose projections are a0 and whose squared norm is w0_sq.
 
-    Returns (rounds_traced, a_hist, C_hist, C_sum, S_local) where C_hist holds
-    cumulative client displacements (the average iterate is
-    w0 + (1/M) * sum_m C[m] * u_m), C_sum accumulates C over round starts and
-    S_local the within-round partial sums needed for uniform iterate averaging.
+    Returns (rounds_traced, a_hist, C_hist, stop, C_sum, S_local) where C_hist
+    holds cumulative client displacements (the average iterate is
+    w0 + (1/M) * sum_m C[m] * u_m), stop is the round the run stopped at (None
+    if it ran every round), C_sum accumulates C over round starts and S_local
+    the within-round partial sums needed for uniform iterate averaging.
     """
     M, eta, K, rounds, stride = len(gammas), float(eta), int(K), int(rounds), int(stride)
     lib = _library() if M * K * rounds >= C_MIN_WORK else None
-    gammas, G, a, work, hist = _kernel_args(
-        lib is not None, _trace_slots(rounds, stride), 4, gammas, G, a0)
+    start, work, hist = _kernel_args(
+        lib is not None, _trace_slots(rounds, stride), 4, gammas, G, a0, w0_sq)
     if lib is None:
-        used = _local_gd_margin_core(gammas, G, a, eta, K, rounds, stride, *work, *hist)
+        used = _local_gd_margin_core(*start, eta, K, rounds, stride, *work, *hist)
     else:
-        used = lib.localgd_local_gd_margin(M, gammas, G, a, eta, K, rounds, stride, *work, *hist)
+        used = lib.localgd_local_gd_margin(M, *start, eta, K, rounds, stride, *work, *hist)
     _C, C_sum, S_local, _delta = work
-    return _traced(hist, used) + (
+    return _traced(hist, used, M) + (
         np.asarray(C_sum, dtype=np.float64),
         np.asarray(S_local, dtype=np.float64),
     )
@@ -228,18 +241,19 @@ def _rk4_flow(a, g, eta, t_total, substeps):
     return a
 
 
-def _gf_numeric_margin_core(
-    gammas, G, a, eta, K, rounds, substeps, stride, C, delta, a_hist, C_hist, r_hist
-):
-    isfinite = math.isfinite
+def _gf_numeric_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, substeps, stride, C,
+                            delta, a_hist, C_hist, r_hist):
     M = len(gammas)
     T = float(K)
-    a_hist[0] = a[:]
-    C_hist[0] = C[:]
-    r_hist[0] = 0
-    slot = 1
+    r = slot = 0
     err_max = 0.0
-    for r in range(rounds):
+    holds = _rule_holds(gammas, a0, w0_sq, a, C)
+    while holds:
+        if r % stride == 0 or r == rounds:
+            a_hist[slot], C_hist[slot], r_hist[slot] = a[:], C[:], r
+            slot += 1
+        if r == rounds:
+            return slot, err_max
         for m in range(M):
             am = a[m]
             g = gammas[m]
@@ -250,7 +264,7 @@ def _gf_numeric_margin_core(
                 if diff > err_max:
                     err_max = diff
             delta[m] = end - am
-        finite = True
+        s, in_range = 0.0, True
         for m in range(M):
             Gm = G[m]
             upd = 0.0
@@ -258,38 +272,35 @@ def _gf_numeric_margin_core(
                 upd += Gm[mm] * delta[mm]
             a[m] = am = a[m] + upd / M
             C[m] = cm = C[m] + delta[m]
-            if not (isfinite(am) and isfinite(cm)):
-                finite = False
-        if not finite or (r + 1) % stride == 0 or r + 1 == rounds:
-            a_hist[slot] = a[:]
-            C_hist[slot] = C[:]
-            r_hist[slot] = r + 1
-            slot += 1
-        if not finite:
-            break
+            s += cm / M * (a0[m] + am)
+            in_range = in_range and abs(gammas[m] * am) <= 700.0
+        holds = in_range and math.isfinite(w0_sq + s)
+        r += 1
+    r_hist[slot] = r
     return slot, err_max
 
 
-def gf_numeric_margin(gammas, G, a0, eta, K, rounds, substeps, stride=1):
-    """Classical fixed-step RK4 integration of the local flows in margin space.
+def gf_numeric_margin(gammas, G, a0, w0_sq, eta, K, rounds, substeps, stride=1):
+    """Classical fixed-step RK4 integration of the local flows in margin space,
+    from w0 with projections a0 and squared norm w0_sq.
 
     Each round integrates every client's scalar flow for K time units with
     ``substeps`` steps, then averages through the Gram matrix. Returns
-    (rounds_traced, a_hist, C_hist, err_max) where err_max is the largest
-    endpoint discrepancy against a half-resolution integration (0.0 when
-    substeps is 1).
+    (rounds_traced, a_hist, C_hist, stop, err_max) where stop is as in
+    local_gd_margin and err_max is the largest endpoint discrepancy against a
+    half-resolution integration (0.0 when substeps is 1).
     """
     M, eta, K, rounds = len(gammas), float(eta), int(K), int(rounds)
     substeps, stride = int(substeps), int(stride)
     lib = _library() if M * rounds * substeps >= C_MIN_WORK else None
-    gammas, G, a, work, hist = _kernel_args(
-        lib is not None, _trace_slots(rounds, stride), 2, gammas, G, a0)
+    start, work, hist = _kernel_args(
+        lib is not None, _trace_slots(rounds, stride), 2, gammas, G, a0, w0_sq)
     if lib is None:
         used, err_max = _gf_numeric_margin_core(
-            gammas, G, a, eta, K, rounds, substeps, stride, *work, *hist)
+            *start, eta, K, rounds, substeps, stride, *work, *hist)
     else:
         err = np.zeros(1)
         used = lib.localgd_gf_numeric_margin(
-            M, gammas, G, a, eta, K, rounds, substeps, stride, *work, *hist, err)
+            M, *start, eta, K, rounds, substeps, stride, *work, *hist, err)
         err_max = err[0]
-    return _traced(hist, used) + (float(err_max),)
+    return _traced(hist, used, M) + (float(err_max),)

@@ -1,9 +1,8 @@
 """Command-line front end: dataset generation, runs, sweeps, checks, envelopes.
 
-Exit codes: 0 success, 1 usage or invalid input, 2 divergence or flow margins
-out of range (partial traces are still written), 3 check violation, 4 I/O or
-file-format failure. A sweep cell records the code `run` would return with the
-same flags.
+Exit codes: 0 success, 1 usage or invalid input, 2 divergence (see optim's rule;
+partial traces are still written), 3 check violation, 4 I/O or file-format
+failure. A sweep cell records the code `run` would return with the same flags.
 
 A sweep reads, verifies and fingerprints its dataset once, in the parent
 process, and hands every cell the parsed dataset and its fingerprint. The
@@ -124,11 +123,12 @@ def _write_csv(path, traces, M, meta=None):
         f.write("\n".join(lines) + "\n")
 
 
-def _add_run_flags(p):
-    p.add_argument("--dataset", required=True, help="dataset JSON file")
+def _add_run_flags(p, command, required=True):
+    """`run`'s or `sweep`'s flags; required=False gives the --config finder the same ones."""
+    p.add_argument("--dataset", required=required, help="dataset JSON file")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="local-gd")
     p.add_argument("--policy", choices=POLICIES, default="explicit")
-    p.add_argument("--R", type=int, required=True)
+    p.add_argument("--R", type=int, required=required)
     p.add_argument("--K", type=int, default=1)
     p.add_argument("--H", type=float, default=0.25)
     p.add_argument("--eta", type=float)
@@ -148,9 +148,14 @@ def _add_run_flags(p):
                    help="comma-separated check names to run afterwards")
     p.add_argument("--emit", type=_comma_list("artifact", str.strip, ("csv", "json"), empty_is_none=False),
                    default="csv,json", help="artifacts to write (csv,json)")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=required)
     p.add_argument("--name", default="run", help="basename for output files")
     p.add_argument("--config", help="JSON file with defaults for these flags")
+    if command == "sweep":
+        p.add_argument("--K-grid", type=_comma_list("integer", int, empty_is_none=False),
+                       help="comma-separated K values (overrides --K)")
+        p.add_argument("--policy-grid", type=_comma_list("policy", str.strip, POLICIES),
+                       help="comma-separated policies (overrides --policy)")
 
 
 def build_parser():
@@ -173,15 +178,8 @@ def build_parser():
     g_mn.add_argument("--seed", type=int, default=0)
     g_mn.add_argument("--out", required=True)
 
-    run = sub.add_parser("run", help="run one optimizer and export traces")
-    _add_run_flags(run)
-
-    sweep = sub.add_parser("sweep", help="run a (K x policy) grid")
-    _add_run_flags(sweep)
-    sweep.add_argument("--K-grid", type=_comma_list("integer", int, empty_is_none=False),
-                       help="comma-separated K values (overrides --K)")
-    sweep.add_argument("--policy-grid", type=_comma_list("policy"),
-                       help="comma-separated policies (overrides --policy)")
+    _add_run_flags(sub.add_parser("run", help="run one optimizer and export traces"), "run")
+    _add_run_flags(sub.add_parser("sweep", help="run a (K x policy) grid"), "sweep")
 
     chk = sub.add_parser("check", help="re-verify analysis checks on run artifacts")
     chk.add_argument("--run", required=True, help="summary JSON written by `run`")
@@ -267,7 +265,7 @@ def _envelope_block(dataset, args, config):
     return out
 
 
-def _summary_doc(args, config, dataset, fingerprint, result, diverged_at, checks):
+def _summary_doc(args, config, dataset, fingerprint, traces, diverged_at, checks):
     return {
         "artifact": {"name": "localgd", "version": __version__},
         "command": args.command,
@@ -283,15 +281,15 @@ def _summary_doc(args, config, dataset, fingerprint, result, diverged_at, checks
         },
         "seed": args.seed,
         "result": {
-            "rounds_completed": result.traces[-1].r if result.traces else 0,
+            "rounds_completed": traces[-1].r if traces else 0,
             "diverged": diverged_at is not None,
             "divergence_round": diverged_at,
-            "final_loss": result.traces[-1].global_loss if result.traces else None,
-            "final_grad_norm": result.traces[-1].grad_norm if result.traces else None,
+            "final_loss": traces[-1].global_loss if traces else None,
+            "final_grad_norm": traces[-1].grad_norm if traces else None,
         },
         "envelopes": _envelope_block(dataset, args, config) if diverged_at is None else {},
         "checks": [r.to_dict() for r in checks],
-        "traces": [asdict(t) for t in result.traces],
+        "traces": [asdict(t) for t in traces],
     }
 
 
@@ -304,34 +302,25 @@ def _cmd_run(args, loaded=None):
     """Run one optimizer; ``loaded`` is ``args.dataset`` and its fingerprint, if loaded."""
     dataset, fingerprint = loaded or _load_fingerprinted(args.dataset)
     config = _run_config(args)
-    diverged_at = None
+    runner = {"local-gd": optim.run_local_gd, "two-stage": optim.run_two_stage,
+              "local-gf": optim.run_local_gf}[args.optimizer]
+    diverged_at, checks = None, []
     try:
-        if args.optimizer == "local-gd":
-            result = optim.run_local_gd(dataset, config)
-        elif args.optimizer == "two-stage":
-            result = optim.run_two_stage(dataset, config)
-        else:
-            result = optim.run_local_gf(dataset, config)
+        result = runner(dataset, config)
     except DivergenceError as err:
-        diverged_at = err.round_index
-        result = optim.RunResult(
-            traces=err.traces,
-            final_weights=np.full(dataset.d, np.nan),
-            averaged_weights=None,
-            config=config,
-            optimizer=args.optimizer,
-        )
-    checks = []
-    if args.checks and diverged_at is None:
-        checks = diagnostics.check_run(result, dataset, checks=args.checks)
+        diverged_at, traces = err.round_index, err.traces
+    else:
+        traces = result.traces
+        if args.checks:
+            checks = diagnostics.check_run(result, dataset, checks=args.checks)
 
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(args.out_dir, args.name)
     if "csv" in args.emit:
         meta = _csv_meta_line(config, fingerprint, args.seed)
-        _write_csv(base + ".csv", result.traces, dataset.M, meta=meta)
+        _write_csv(base + ".csv", traces, dataset.M, meta=meta)
     if "json" in args.emit:
-        write_json(base + ".json", _summary_doc(args, config, dataset, fingerprint, result, diverged_at, checks))
+        write_json(base + ".json", _summary_doc(args, config, dataset, fingerprint, traces, diverged_at, checks))
     if diverged_at is not None:
         print(f"divergence at round {diverged_at}; partial traces written", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -355,10 +344,6 @@ def _sweep_cell(args):
     """Run one sweep cell (a `run` Namespace) on the shared dataset; return its index entry."""
     name = args.name
     try:
-        if args.policy not in POLICIES:
-            # the message argparse gives `run --policy` for the same value
-            raise UsageError(f"argument --policy: invalid choice: {args.policy!r} "
-                             f"(choose from {', '.join(map(repr, POLICIES))})")
         code = _cmd_run(args, loaded=_sweep_dataset)
         return {"name": name, "exit": code, "csv": name + ".csv", "summary": name + ".json"}
     except tuple(EXIT_CODES) as err:
@@ -510,7 +495,7 @@ def _cmd_envelope(args):
 def _apply_config_file(argv):
     """``argv`` with its --config entries as --flag=value tokens after the subcommand."""
     finder = _Parser(add_help=False)
-    finder.add_argument("--config")
+    _add_run_flags(finder, argv[0], required=False)
     path = finder.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv

@@ -6,17 +6,17 @@ class LocalGDError(Exception):
 
 
 class DivergenceError(LocalGDError, RuntimeError):
-    """A run produced non-finite weights, or a flow run margins beyond the
-    representable range of its surrogate losses.
+    """A run broke optim's divergence rule: a non-finite ||w||^2 or trace field,
+    or flow margins beyond the representable range of the surrogate losses.
 
     Carries the round index at which divergence was detected and the traces
     collected up to (and excluding) that round, so partial results survive.
     """
 
-    def __init__(self, round_index, traces, message=None):
+    def __init__(self, round_index, traces):
         self.round_index = round_index
         self.traces = traces
-        super().__init__(message or f"non-finite weights at round {round_index}")
+        super().__init__(f"run diverged at round {round_index}")
 
 
 class ConvergenceError(LocalGDError, RuntimeError):

@@ -3,7 +3,11 @@
 Every runner starts from the zero vector unless the config overrides it,
 records one trace per round (round 0 included), and is bitwise deterministic
 for a fixed dataset, config, and engine. Client loops always reduce in
-ascending client order.
+ascending client order. Every engine and flow method ends a run with
+DivergenceError at the first round r, 0 included, where ||w_r||^2 is not
+finite or a flow's margin leaves |gamma_m * a_m| <= 700 (log_phi's domain),
+both checked every round, or where a traced round's trace would hold a
+non-finite number.
 
 Two engines are available for local GD. The default "numpy" engine runs the
 generic d-dimensional recursion and collects the per-round drift/bias data the
@@ -132,7 +136,11 @@ def _initial_weights(dataset, config):
     return w0.copy()
 
 
-def _make_trace(rep, w, r, eta, stage=1, lyap=None):
+def _append_trace(traces, dataset, w, r, eta, lyap=None):
+    """Append round r's trace of w, with ``lyap`` as its (lyapunov, rho, a), and return
+    w's ObjectiveReport; raise DivergenceError(r, traces) instead if the trace would
+    hold a non-finite number."""
+    rep = losses.objective(dataset, w)
     trace = RoundTrace(
         r=r,
         global_loss=rep.value,
@@ -141,11 +149,16 @@ def _make_trace(rep, w, r, eta, stage=1, lyap=None):
         iterate_norm=math.sqrt(w @ w),
         min_margin=rep.min_margin,
         eta_used=eta,
-        stage=stage,
     )
+    fields = [rep.value, rep.grad_norm, trace.iterate_norm, rep.min_margin, eta,
+              *rep.per_client_values]
     if lyap is not None:
         trace.lyapunov, trace.rho, trace.a = lyap
-    return trace
+        fields += [lyap[0], *lyap[1], *lyap[2]]
+    if not all(map(math.isfinite, fields)):
+        raise DivergenceError(r, traces)
+    traces.append(trace)
+    return rep
 
 
 def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
@@ -174,7 +187,8 @@ def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
                 g = (Z.T @ losses.ell_prime(Z @ w)) / Z.shape[0]
             if collect:
                 dw, dg = w - w_bar, g - g_ref
-                drift[-1] = max(drift[-1], math.sqrt(dw @ dw))
+                sq = np.vdot(dw, dw)  # dw @ dw, warning-free; hypot where only sq overflows
+                drift[-1] = max(drift[-1], math.sqrt(sq) if sq < math.inf else math.hypot(*dw))
                 bias[-1] = max(bias[-1], math.sqrt(dg @ dg))
         finals.append(w)
         if sums:
@@ -182,37 +196,31 @@ def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
     return sum(finals, np.zeros_like(w_bar)) / dataset.M, finals, drift, bias, iterate_sum
 
 
-def _traced(r, R, every):
-    return r % every == 0 or r == R
-
-
 def _round_loop(dataset, w, config, eta, step, lyap=None):
-    """Rounds 1..R from w, traced as config.trace_every says.
+    """Rounds 0..R from w, traced as config.trace_every says, under the divergence rule.
 
     ``step(w, rep)`` runs one round and returns (w_next, bounds); rep is w's
     ObjectiveReport if w is traced, else None, and bounds, when not None, is
     the round's (drift, bias), which goes on w's trace. ``lyap()``, if given,
-    returns the current (lyapunov, rho, a) triple. Raises DivergenceError at
-    the first non-finite iterate, or at the first round whose flow state
-    leaves the special functions' domain; returns (traces, final).
+    returns the current (lyapunov, rho, a) triple. A step raises DomainError
+    where the exact flow's margins leave the surrogate losses' domain. Returns
+    (traces, final).
     """
-    rep = losses.objective(dataset, w)
-    traces = [_make_trace(rep, w, 0, eta, lyap=None if lyap is None else lyap())]
-    for r in range(config.R):
-        try:
-            w_next, bounds = step(w, rep)
-        except DomainError as err:
-            raise _out_of_domain(r + 1, traces, err) from None
+    traces, rep = [], None
+    for r in range(config.R + 1):
+        bounds = None
+        if r:
+            try:
+                w, bounds = step(w, rep)
+            except DomainError as err:
+                raise DivergenceError(r, traces) from err
+        if not math.isfinite(np.vdot(w, w)):  # unlike w @ w, np.vdot warns of no overflow
+            raise DivergenceError(r, traces)
         if bounds is not None:
             traces[-1].drift, traces[-1].bias = bounds
-        if not np.all(np.isfinite(w_next)):
-            raise DivergenceError(r + 1, traces)
-        w = w_next
         rep = None
-        if _traced(r + 1, config.R, config.trace_every):
-            rep = losses.objective(dataset, w)
-            traces.append(_make_trace(rep, w, r + 1, eta,
-                                      lyap=None if lyap is None else lyap()))
+        if r % config.trace_every == 0 or r == config.R:
+            rep = _append_trace(traces, dataset, w, r, eta, None if lyap is None else lyap())
     return traces, w
 
 
@@ -253,33 +261,19 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
     )
 
 
-def _out_of_domain(r, traces, err):
-    """Round r's iterate is finite, but its flow margins are beyond what the
-    surrogate losses can represent: the run ends there, as on divergence."""
-    return DivergenceError(r, traces, f"flow margins out of range at round {r}: {err}")
-
-
-def _margin_traces(dataset, w0, U, rounds_traced, a_hist, C_hist, eta, lyap=None):
+def _margin_traces(dataset, w0, U, rounds_traced, C_hist, stop, eta, lyap=None):
     """Traces of a margin-kernel history, whose slot idx holds w_r = w0 + U^T C / M.
 
-    ``lyap(idx)``, if given, returns slot idx's (lyapunov, rho, a) triple once
-    its iterate is known to be finite. Raises DivergenceError at the first
-    slot whose iterate or projections a are non-finite (the kernels stop at
-    the first such round), or, after round 0, whose Lyapunov fields leave the
-    special functions' domain; returns (traces, final), final being round R's.
+    ``lyap(idx)``, if given, returns slot idx's (lyapunov, rho, a) triple.
+    Raises DivergenceError at the kernel's stop round, if any; returns
+    (traces, final), final being round R's.
     """
     traces = []
     for idx, r in enumerate(rounds_traced):
         w_r = w0 + (U.T @ C_hist[idx]) / dataset.M
-        if not (np.all(np.isfinite(w_r)) and np.all(np.isfinite(a_hist[idx]))):
-            raise DivergenceError(int(r), traces)
-        try:
-            fields = None if lyap is None else lyap(idx)
-        except DomainError as err:
-            if idx == 0:
-                raise  # an invalid start, as the exact flow's set-up reports it
-            raise _out_of_domain(int(r), traces, err) from None
-        traces.append(_make_trace(losses.objective(dataset, w_r), w_r, int(r), eta, lyap=fields))
+        _append_trace(traces, dataset, w_r, int(r), eta, None if lyap is None else lyap(idx))
+    if stop is not None:
+        raise DivergenceError(stop, traces)
     return traces, w_r
 
 
@@ -287,12 +281,11 @@ def _run_margin_engine(dataset, config: RunConfig) -> RunResult:
     eta = config.eta
     gammas, U = dataset.sample_geometry()
     w0 = _initial_weights(dataset, config)
-    a0 = U @ w0
-    G = U @ U.T
-    rounds_traced, a_hist, C_hist, C_sum, S_local = local_gd_margin(
-        gammas, G, a0, eta, config.K, config.R, stride=config.trace_every
+    rounds_traced, _a_hist, C_hist, stop, C_sum, S_local = local_gd_margin(
+        gammas, U @ U.T, U @ w0, np.vdot(w0, w0), eta, config.K, config.R,
+        stride=config.trace_every,
     )
-    traces, final = _margin_traces(dataset, w0, U, rounds_traced, a_hist, C_hist, eta)
+    traces, final = _margin_traces(dataset, w0, U, rounds_traced, C_hist, stop, eta)
     averaged = None
     if config.averaging == "uniform_average":
         coef = (C_sum + S_local / config.K) / config.R
@@ -357,8 +350,8 @@ def run_two_stage(dataset, config: RunConfig) -> RunResult:
         final = res2.final_weights
     else:
         final = np.asarray(w_hat1, dtype=np.float64)
-        traces.append(_make_trace(losses.objective(dataset, final), final, r0, config.eta2,
-                                  stage=2))
+        _append_trace(traces, dataset, final, r0, config.eta2)
+        traces[-1].stage = 2
     return RunResult(
         traces=traces,
         final_weights=final,
@@ -418,10 +411,11 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     err_max = 0.0  # RK4 error estimate; the exact flow has none
 
     if method == "exact":
-        if not np.all(np.isfinite(w)):
-            raise DivergenceError(0, [])  # as the numeric flow reports a non-finite start
         gammas, U = dataset.sample_geometry()
-        state = specialfn.make_gf_state(gammas, U, etaK, a=U @ w)
+        try:
+            state = specialfn.make_gf_state(gammas, U, etaK, a=U @ w)
+        except DomainError as err:  # round 0's margins lie outside the surrogates' domain
+            raise DivergenceError(0, []) from err
 
         def step(w, _rep):
             nonlocal state
@@ -435,24 +429,23 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
         traces, final = _round_loop(dataset, w, config, eta, step, lyap)
     elif n1:
         gammas, U = dataset.sample_geometry()
-        rounds_traced, a_hist, C_hist, err_max = gf_numeric_margin(
-            gammas, U @ U.T, U @ w, eta, config.K, config.R,
+        rounds_traced, a_hist, C_hist, stop, err_max = gf_numeric_margin(
+            gammas, U @ U.T, U @ w, np.vdot(w, w), eta, config.K, config.R,
             config.gf_substeps, stride=config.trace_every,
         )
         traces, final = _margin_traces(
-            dataset, w, U, rounds_traced, a_hist, C_hist, eta,
+            dataset, w, U, rounds_traced, C_hist, stop, eta,
             lyap=lambda idx: _lyap_fields(gammas, etaK, a_hist[idx]),
         )
     else:
-        half = max(1, config.gf_substeps // 2)
-
         def step(w, _rep):
             nonlocal err_max
             acc = np.zeros_like(w)
             for Z in dataset.clients:
                 w_end = _rk4_client_flow(Z, w, eta, float(config.K), config.gf_substeps)
-                w_half = _rk4_client_flow(Z, w, eta, float(config.K), half)
-                err_max = max(err_max, float(np.max(np.abs(w_end - w_half))))
+                if config.gf_substeps >= 2:
+                    w_half = _rk4_client_flow(Z, w, eta, float(config.K), config.gf_substeps // 2)
+                    err_max = max(err_max, float(np.max(np.abs(w_end - w_half))))
                 acc = acc + w_end
             return acc / M, None
 

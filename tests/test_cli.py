@@ -7,7 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
-from localgd import cli
+from localgd import cli, optim
 from localgd.data import FederatedDataset, compute_margin, save_dataset
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -188,6 +188,27 @@ class TestRun:
         assert doc["result"]["diverged"] is True
         assert [t["stage"] for t in doc["traces"][:4]] == [1, 1, 1, 2]
 
+    def test_roadmap_two_stage_example_diverges_at_round_5_on_both_engines(
+            self, synthetic_file, tmp_path, capsys):
+        # eta2 = 1e308 overflows ||w||^2 in the first stage-2 round; the numpy engine
+        # used to finish with w_norm = inf in its CSV, the margin engine to stop at round 12
+        def refuse(name):
+            raise AssertionError(f"{name} in the summary JSON")
+
+        for engine in optim.ENGINES:
+            with np.errstate(over="ignore"), pytest.warns(UserWarning, match="exceeds 4"):
+                code = cli.main(["run", "--dataset", str(synthetic_file), "--engine", engine,
+                                 "--optimizer", "two-stage", "--eta1", "0.7", "--eta2", "1e308",
+                                 "--r0", "4", "--K", "4", "--R", "13",
+                                 "--out-dir", str(tmp_path), "--name", engine])
+            assert code == cli.EXIT_DIVERGENCE, engine
+            assert "divergence at round 5" in capsys.readouterr().err, engine
+            csv = (tmp_path / f"{engine}.csv").read_text().lower()
+            assert "inf" not in csv and "nan" not in csv, engine
+            doc = json.loads((tmp_path / f"{engine}.json").read_text(), parse_constant=refuse)
+            assert doc["result"]["divergence_round"] == 5, engine
+            assert [t["r"] for t in doc["traces"]] == [0, 1, 2, 3, 4], engine
+
     def test_flow_margins_out_of_range_end_the_run_with_partial_traces(self, synthetic_file,
                                                                         tmp_path, capsys):
         # at eta = 1e300 round 1 moves the margins to about 3e297: the iterate
@@ -258,11 +279,12 @@ class TestSweep:
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
     def test_empty_grid_is_usage_error(self, synthetic_file, tmp_path, capsys):
-        for grid in ("x", "1,,2", "", "1,x"):
+        for flag, grid in (("--K-grid", "x"), ("--K-grid", "1,,2"), ("--K-grid", ""),
+                           ("--K-grid", "1,x"), ("--policy-grid", "small,bogus")):
             code = cli.main(["sweep", "--dataset", str(synthetic_file), "--R", "5",
-                             "--K-grid", grid, "--out-dir", str(tmp_path / "out")])
+                             flag, grid, "--out-dir", str(tmp_path / "out")])
             assert code == cli.EXIT_USAGE
-            assert "--K-grid" in capsys.readouterr().err
+            assert f"argument {flag}:" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -271,18 +293,19 @@ class TestSweep:
         monkeypatch.setenv("LOCALGD_THREADS", threads)
         flags = ["--dataset", str(synthetic_file), "--optimizer", "local-gd", "--R", "12",
                  "--H", "0.3", "--seed", "5", "--checks", "drift,bias"]
-        code = cli.main(["sweep", *flags, "--K-grid", "1,4", "--policy-grid", "small,large,bogus",
+        # the explicit policy without --eta fails in each of its cells alone
+        code = cli.main(["sweep", *flags, "--K-grid", "1,4", "--policy-grid", "small,large,explicit",
                          "--out-dir", str(tmp_path / "sweep")])
         assert code == cli.EXIT_USAGE
         cells = {c["name"]: c for c in json.loads((tmp_path / "sweep/index.json").read_text())["cells"]}
         assert len(cells) == 6
         capsys.readouterr()
-        assert cli.main(["run", *flags, "--policy", "bogus", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert cli.main(["run", *flags, "--policy", "explicit", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
         run_error = capsys.readouterr().err
         for K in (1, 4):
-            bogus = cells[f"cell_K{K}_bogus"]
-            assert bogus["exit"] == cli.EXIT_USAGE
-            assert run_error == f"usage error: {bogus['error']}\n"
+            explicit = cells[f"cell_K{K}_explicit"]
+            assert explicit["exit"] == cli.EXIT_USAGE
+            assert run_error == f"error: {explicit['error']}\n"
             for policy in ("small", "large"):
                 name = f"cell_K{K}_{policy}"
                 assert cells[name]["exit"] == 0
@@ -518,6 +541,18 @@ class TestExitCodes:
             assert code == 0, name
             rows = (tmp_path / f"{name}.csv").read_text().strip().split("\n")[2:]
             assert [int(r.split(",")[0]) for r in rows] == list(range(7))
+
+    def test_ambiguous_config_abbreviation_is_usage_error(self, synthetic_file, tmp_path, capsys):
+        # --c could be --checks or --config; the config finder reads flags as argparse
+        # does, so the file is never opened (a missing one would exit 4)
+        missing = str(tmp_path / "missing.json")
+        for command in ("run", "sweep"):
+            for form in (["--c", missing], [f"--c={missing}"]):
+                code = cli.main([command, "--dataset", str(synthetic_file), "--R", "3", *form,
+                                 "--out-dir", str(tmp_path / "out")])
+                assert code == cli.EXIT_USAGE, (command, form)
+                assert "ambiguous option: --c" in capsys.readouterr().err, (command, form)
+                assert not (tmp_path / "out").exists()
 
     def test_command_line_beats_config_in_equals_form(self, synthetic_file, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,17 +1,20 @@
+import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgd import losses
+from localgd import losses, optim
 from localgd._kernels import gf_numeric_margin
 from localgd.data import FederatedDataset, RawSample, SyntheticSpec, gen_synthetic, prepare
 from localgd.errors import DivergenceError
 from localgd.optim import (
     AVERAGING_MODES,
+    ENGINES,
     RunConfig,
     run_local_gd,
     run_local_gf,
@@ -329,7 +332,7 @@ class TestRunLocalGf:
             warnings.simplefilter("ignore")  # coarse substeps warn about err_max
             numeric = run_local_gf(ds, RunConfig(gf_method="numeric", gf_substeps=substeps, **cfg))
         gammas, U = ds.sample_geometry()
-        err_max = gf_numeric_margin(gammas, U @ U.T, np.zeros(M), eta, K, R, substeps)[-1]
+        err_max = gf_numeric_margin(gammas, U @ U.T, np.zeros(M), 0.0, eta, K, R, substeps)[-1]
         # err_max, the gap to a half-resolution run, overestimates one round's
         # RK4 error about 15-fold (fourth order); R of them for R rounds left a
         # 30-fold margin on 400 random draws. Losses, surrogates and margins
@@ -353,6 +356,30 @@ class TestRunLocalGf:
             assert err.value.round_index == 0, method
             assert err.value.traces == [], method
 
+    def test_numeric_flow_divergence_round_does_not_depend_on_tracing(self):
+        # at eta = 1e300 round 1 moves the margins to about 3e297, far outside
+        # |g * a| <= 700, untraced or not
+        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
+        for method in ("numeric", "exact"):
+            for trace_every in (1, 4):
+                cfg = RunConfig(R=5, K=2, eta=1e300, gf_method=method, trace_every=trace_every)
+                with pytest.raises(DivergenceError) as err:
+                    run_local_gf(ds, cfg)
+                assert err.value.round_index == 1, (method, trace_every)
+                assert [t.r for t in err.value.traces] == [0], (method, trace_every)
+
+    @pytest.mark.parametrize("substeps", [1, 4])
+    @pytest.mark.filterwarnings("ignore:flow integration error estimate")
+    def test_half_resolution_pass_only_with_two_substeps(self, rng, monkeypatch, substeps):
+        # with one substep the half-resolution pass would integrate the same path again
+        calls = []
+        real = optim._rk4_client_flow
+        monkeypatch.setattr(optim, "_rk4_client_flow", lambda *a: calls.append(a[-1]) or real(*a))
+        ds = separable_dataset(rng, M=2, n=3, d=3)
+        run_local_gf(ds, RunConfig(R=3, K=2, eta=1.0, gf_substeps=substeps))
+        assert sorted(set(calls)) == sorted({substeps, max(1, substeps // 2)})
+        assert len(calls) == ds.M * 3 * (1 if substeps < 2 else 2)
+
     def test_coarse_substeps_warn(self):
         ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
         with pytest.warns(UserWarning, match="error estimate"):
@@ -364,3 +391,86 @@ class TestRunLocalGf:
         a = run_local_gf(ds, cfg)
         b = run_local_gf(ds, cfg)
         np.testing.assert_array_equal(a.final_weights, b.final_weights)
+
+
+def _outcome(run, ds, cfg):
+    """(stop, traces) of ``run(ds, cfg)``: stop is the divergence round, None if the run
+    finished, or "refused" if it is a flow whose eta * K = inf leaves no surrogate losses."""
+    try:
+        return None, run(ds, cfg).traces
+    except DivergenceError as err:
+        return err.round_index, err.traces
+    except ValueError as err:
+        assert "b must be finite" in str(err)
+        return "refused", []
+
+
+def _numbers(trace):
+    """Every number a trace holds."""
+    fields = (trace.global_loss, trace.grad_norm, trace.iterate_norm, trace.min_margin,
+              trace.eta_used, trace.lyapunov)
+    lists = (trace.client_losses, trace.rho, trace.a, trace.drift, trace.bias)
+    return [x for x in fields if x is not None] + list(itertools.chain(*filter(None, lists)))
+
+
+class TestDivergenceRule:
+    """One rule ends every run: the first round, traced or not, whose ||w_r||^2 is not
+    finite or, for a flow, whose margins leave |g * a| <= 700, or the first traced
+    round whose trace is not finite."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), M=st.integers(1, 3), d=st.integers(2, 3),
+        K=st.integers(1, 8), R=st.integers(1, 19), trace_every=st.integers(2, 6),
+        log_eta=st.floats(-2.0, 308.0), log_scale=st.none() | st.floats(-3.0, 200.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:flow integration error estimate")
+    def test_every_engine_and_flow_method_applies_one_rule(
+        self, seed, M, d, K, R, trace_every, log_eta, log_scale
+    ):
+        rng = np.random.default_rng(seed)
+        ds = separable_dataset(rng, M=M, n=1, d=d)
+        w0 = None if log_scale is None else tuple(rng.normal(size=d) * 10.0 ** log_scale)
+        cfg = dict(R=R, K=K, eta=10.0 ** log_eta, w0=w0)
+        outcomes = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for every in (1, trace_every):
+                gd = {e: _outcome(run_local_gd, ds, RunConfig(engine=e, trace_every=every, **cfg))
+                      for e in ENGINES}
+                (stop, traces), (stop_mg, traces_mg) = gd.values()
+                assert stop == stop_mg, every
+                assert [t.r for t in traces] == [t.r for t in traces_mg], every
+                outcomes += gd.values()
+            for method in ("exact", "numeric"):
+                flow = RunConfig(gf_method=method, gf_substeps=4, **cfg)
+                runs = [_outcome(run_local_gf, ds, replace(flow, trace_every=every))
+                        for every in (1, trace_every)]
+                assert runs[0][0] == runs[1][0], method
+                outcomes += runs
+        for _stop, traces in outcomes:
+            for t in traces:
+                assert all(map(math.isfinite, _numbers(t))), t
+
+    def test_drift_near_overflow_is_finite(self):
+        # at eta = 5e154 round 0's client displacement has a finite norm, ~2.5e154,
+        # whose square overflows; drift falls back to hypot instead of reading inf
+        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
+        with np.errstate(over="ignore"):
+            res = run_local_gd(ds, RunConfig(R=5, K=2, eta=5e154, track_bounds=True))
+        bounds = [v for t in res.traces if t.drift is not None for v in (*t.drift, *t.bias)]
+        assert bounds and all(map(math.isfinite, bounds))
+        assert max(res.traces[0].drift) > 1e154
+
+    def test_start_with_overflowing_norm_diverges_at_round_zero_on_every_runner(self):
+        # ||w0||^2 = 1e400 overflows while w0 and its margins are finite; the rule
+        # sees it before any trace is built, and raises no overflow warning
+        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
+        cfg = dict(R=5, K=2, eta=1.0, w0=(1e200, 0.0))
+        runs = [(run_local_gd, RunConfig(engine=engine, **cfg)) for engine in ENGINES]
+        runs += [(run_local_gf, RunConfig(gf_method=m, **cfg)) for m in ("exact", "numeric")]
+        for run, config in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as err:
+                    run(ds, config)
+            assert (err.value.round_index, err.value.traces) == (0, []), config
