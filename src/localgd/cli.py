@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage or invalid input, 2 divergence (see optim's rule;
 partial traces are still written), 3 check violation, 4 I/O or file-format
 failure. A sweep cell records the code `run` would return with the same flags.
 
-A sweep reads, verifies and fingerprints its dataset once, in the parent
-process, and hands every cell the parsed dataset and its fingerprint. The
+A sweep reads and verifies its dataset once, in the parent process, and hands
+every cell the parsed dataset, whose fingerprint load_dataset recorded. The
 environment variable LOCALGD_THREADS caps sweep parallelism (default: machine
 cores; never more workers than cells); a value that is not an integer >= 1 is
 a usage error. Every cell is internally deterministic either way.
@@ -265,7 +265,7 @@ def _envelope_block(dataset, args, config):
     return out
 
 
-def _summary_doc(args, config, dataset, fingerprint, traces, diverged_at, checks):
+def _summary_doc(args, config, dataset, traces, diverged_at, checks):
     return {
         "artifact": {"name": "localgd", "version": __version__},
         "command": args.command,
@@ -276,7 +276,7 @@ def _summary_doc(args, config, dataset, fingerprint, traces, diverged_at, checks
         },
         "dataset": {
             "path": str(args.dataset),
-            "fingerprint": fingerprint,
+            "fingerprint": dataset.file_fingerprint,
             "gamma": dataset.margin[0] if dataset.margin else None,
         },
         "seed": args.seed,
@@ -293,14 +293,9 @@ def _summary_doc(args, config, dataset, fingerprint, traces, diverged_at, checks
     }
 
 
-def _load_fingerprinted(path):
-    dataset = load_dataset(path)
-    return dataset, dataset.fingerprint()
-
-
-def _cmd_run(args, loaded=None):
-    """Run one optimizer; ``loaded`` is ``args.dataset`` and its fingerprint, if loaded."""
-    dataset, fingerprint = loaded or _load_fingerprinted(args.dataset)
+def _cmd_run(args, dataset=None):
+    """Run one optimizer; ``dataset`` is ``args.dataset`` already loaded, if given."""
+    dataset = dataset or load_dataset(args.dataset)
     config = _run_config(args)
     runner = {"local-gd": optim.run_local_gd, "two-stage": optim.run_two_stage,
               "local-gf": optim.run_local_gf}[args.optimizer]
@@ -317,10 +312,10 @@ def _cmd_run(args, loaded=None):
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(args.out_dir, args.name)
     if "csv" in args.emit:
-        meta = _csv_meta_line(config, fingerprint, args.seed)
+        meta = _csv_meta_line(config, dataset.file_fingerprint, args.seed)
         _write_csv(base + ".csv", traces, dataset.M, meta=meta)
     if "json" in args.emit:
-        write_json(base + ".json", _summary_doc(args, config, dataset, fingerprint, traces, diverged_at, checks))
+        write_json(base + ".json", _summary_doc(args, config, dataset, traces, diverged_at, checks))
     if diverged_at is not None:
         print(f"divergence at round {diverged_at}; partial traces written", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -330,21 +325,21 @@ def _cmd_run(args, loaded=None):
     return EXIT_OK
 
 
-# The (dataset, fingerprint) every cell of the running sweep shares: set by
-# _init_sweep_worker in each pool worker, or around a serial sweep and cleared after.
+# The dataset every cell of the running sweep shares: set by _init_sweep_worker
+# in each pool worker, or around a serial sweep and cleared after.
 _sweep_dataset = None
 
 
-def _init_sweep_worker(loaded):
+def _init_sweep_worker(dataset):
     global _sweep_dataset
-    _sweep_dataset = loaded
+    _sweep_dataset = dataset
 
 
 def _sweep_cell(args):
     """Run one sweep cell (a `run` Namespace) on the shared dataset; return its index entry."""
     name = args.name
     try:
-        code = _cmd_run(args, loaded=_sweep_dataset)
+        code = _cmd_run(args, dataset=_sweep_dataset)
         return {"name": name, "exit": code, "csv": name + ".csv", "summary": name + ".json"}
     except tuple(EXIT_CODES) as err:
         return {"name": name, "exit": _exit_code(err), "error": str(err)}
@@ -375,7 +370,7 @@ def _cmd_sweep(args):
     workers = _sweep_workers(len(cells))
     os.makedirs(args.out_dir, exist_ok=True)
     try:
-        loaded = _load_fingerprinted(args.dataset)
+        dataset = load_dataset(args.dataset)
     except (OSError, ValueError) as err:
         results = [{"name": c.name, "exit": EXIT_IO, "error": str(err)} for c in cells]
     else:
@@ -383,11 +378,11 @@ def _cmd_sweep(args):
             # under fork the workers inherit the dataset; other start methods
             # pickle it once per worker, not once per cell
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_sweep_worker, initargs=(loaded,)
+                max_workers=workers, initializer=_init_sweep_worker, initargs=(dataset,)
             ) as pool:
                 results = list(pool.map(_sweep_cell, cells))
         else:
-            _init_sweep_worker(loaded)
+            _init_sweep_worker(dataset)
             try:
                 results = [_sweep_cell(c) for c in cells]
             finally:
@@ -448,15 +443,15 @@ def _load_run_artifacts(path):
 
 def _cmd_check(args):
     result, run_fingerprint = _load_run_artifacts(args.run)
-    dataset, fingerprint = _load_fingerprinted(args.dataset)
-    if fingerprint != run_fingerprint:
-        raise UsageError(f"{args.dataset} has fingerprint {fingerprint}, "
+    dataset = load_dataset(args.dataset)
+    if dataset.file_fingerprint != run_fingerprint:
+        raise UsageError(f"{args.dataset} has fingerprint {dataset.file_fingerprint}, "
                          f"but {args.run} ran on {run_fingerprint}")
     reports = diagnostics.check_run(result, dataset, checks=args.checks)
     doc = {
         "artifact": {"name": "localgd", "version": __version__},
         "run": str(args.run),
-        "dataset_fingerprint": fingerprint,
+        "dataset_fingerprint": run_fingerprint,
         "reports": [r.to_dict() for r in reports],
     }
     if args.out:

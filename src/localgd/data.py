@@ -55,12 +55,14 @@ class FederatedDataset:
     """Folded, norm-scaled client datasets plus an optional cached margin.
 
     clients[m] is an (n_m, d) array of folded points. ``margin`` caches the
-    (gamma, w_star) pair once compute_margin has run.
+    (gamma, w_star) pair once compute_margin has run; ``file_fingerprint`` holds the
+    fingerprint load_dataset verified (or computed), so a loaded file is hashed once.
     """
 
     clients: list[np.ndarray]
     d: int
     margin: tuple[float, np.ndarray] | None = field(default=None)
+    file_fingerprint: str | None = None
 
     @property
     def M(self) -> int:
@@ -419,6 +421,7 @@ def load_dataset(path) -> FederatedDataset:
     except (KeyError, TypeError, ValueError) as err:
         raise IdxFormatError(f"{path}: malformed dataset file ({type(err).__name__}: {err})") from None
     ds = FederatedDataset(clients=clients, d=d, margin=margin)
-    if "fingerprint" in doc and ds.fingerprint() != doc["fingerprint"]:
+    ds.file_fingerprint = ds.fingerprint()
+    if "fingerprint" in doc and doc["fingerprint"] != ds.file_fingerprint:
         raise IdxFormatError(f"{path}: fingerprint mismatch; file was modified")
     return ds

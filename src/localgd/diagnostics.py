@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import losses, specialfn
-from .data import compute_margin
-from .errors import DegenerateGeometryError, MissingTraceDataError
+from .errors import DegenerateGeometryError
 from .schedules import _pos_log
 
 __all__ = [
@@ -41,8 +40,9 @@ class CheckReport:
     """Outcome of one check: violations are (round, quantity, bound, slack).
 
     ``passed`` is true exactly when no violation was recorded; ``na_count``
-    counts rounds skipped because the check's preconditions did not hold there,
-    and ``min_slack`` is the smallest slack seen over all evaluated instances.
+    counts the rounds the check cannot judge (every round when it cannot judge
+    the run: no trace data, or no certified gamma in ``dataset.margin``), and
+    ``min_slack`` is the smallest slack seen over all evaluated instances.
     Informational reports are recorded but never fail a run.
     """
 
@@ -76,10 +76,10 @@ def check_gradient_objective_bounds(dataset, weight_samples) -> CheckReport:
 
     Per client: ||grad F_m|| <= F_m and ||hess F_m|| <= F_m; globally
     ||hess F|| <= F; and at weights whose minimum margin is nonnegative,
-    ||grad F|| >= (gamma/2) F with gamma the cached maximum margin.
+    ||grad F|| >= (gamma/2) F with gamma the dataset's certified margin.
     """
     report = CheckReport(name="gradient-objective-bounds")
-    gamma = None
+    gamma = dataset.margin[0] if dataset.margin else None
     for idx, w in enumerate(weight_samples):
         w = np.asarray(w, dtype=np.float64)
         rep = losses.objective(dataset, w)
@@ -89,9 +89,7 @@ def check_gradient_objective_bounds(dataset, weight_samples) -> CheckReport:
             report.record(idx, hm, fm, tol=HESS_RTOL * max(1.0, fm))
         h = losses.hessian_spectral_norm(dataset, w)
         report.record(idx, h, rep.value, tol=HESS_RTOL * max(1.0, rep.value))
-        if rep.min_margin >= 0.0:
-            if gamma is None:
-                gamma, _ = compute_margin(dataset)
+        if rep.min_margin >= 0.0 and gamma is not None:
             # lower bound on the gradient: operands swapped so that positive
             # slack still means the inequality holds
             report.record(idx, (gamma / 2.0) * rep.value, rep.grad_norm)
@@ -155,13 +153,18 @@ def _check_bias(run, dataset):
     return report
 
 
-def _stable_stretches(run, dataset, gamma, report):
+def _stable_stretches(run, dataset, report):
     """Per stage, the traces from its stable-region entry on, the entry first.
 
     The entry is the stage's first trace with eta <= 4 and
-    F <= gamma^2 / (42 * eta * K * M); each trace before it counts as not
+    F <= gamma^2 / (42 * eta * K * M), gamma the dataset's certified margin;
+    each trace before it, or every trace without a margin, counts as not
     applicable in ``report``. A stage that never enters yields nothing.
     """
+    if dataset.margin is None:
+        report.na_count = len(run.traces)
+        return
+    gamma = dataset.margin[0]
     K = run.config.K
     M = dataset.M
     by_stage: dict[int, list] = {}
@@ -184,12 +187,11 @@ def _check_stable_rate(run, dataset, strict=False):
     """
     name = "stable-rate-strict" if strict else "stable-rate"
     report = CheckReport(name=name, informational=strict)
-    gamma, _ = compute_margin(dataset)
     K = run.config.K
     factor = 2.0 if strict else 4.0
-    for entry, *rest in _stable_stretches(run, dataset, gamma, report):
+    for entry, *rest in _stable_stretches(run, dataset, report):
         for t in rest:
-            bound = factor / (entry.eta_used * gamma**2 * K * (t.r - entry.r))
+            bound = factor / (entry.eta_used * dataset.margin[0] ** 2 * K * (t.r - entry.r))
             report.record(t.r, t.global_loss, bound)
     return report
 
@@ -197,8 +199,7 @@ def _check_stable_rate(run, dataset, strict=False):
 def _check_stable_monotone(run, dataset):
     """Loss is non-increasing once a stage has entered the stable region."""
     report = CheckReport(name="stable-monotone", tolerance=MONOTONE_TOL)
-    gamma, _ = compute_margin(dataset)
-    for stretch in _stable_stretches(run, dataset, gamma, report):
+    for stretch in _stable_stretches(run, dataset, report):
         for prev, t in zip(stretch, stretch[1:]):
             report.record(t.r, t.global_loss, prev.global_loss)
     return report
@@ -283,8 +284,8 @@ def check_run(run, dataset, checks=None) -> list[CheckReport]:
     """Run trajectory checks against a completed run.
 
     With checks=None, every check whose required trace fields are present is
-    executed. Explicitly requested checks whose data is missing raise
-    MissingTraceDataError; unknown names raise ValueError.
+    executed. An explicitly requested check whose trace field the run lacks
+    reports the whole run as not applicable; unknown names raise ValueError.
     """
     if checks is None:
         flow = run.optimizer == "local-gf"
@@ -299,11 +300,11 @@ def check_run(run, dataset, checks=None) -> list[CheckReport]:
                 raise ValueError(
                     f"unknown check {name!r}; available: {', '.join(RUN_CHECKS)}"
                 )
-            if not RUN_CHECKS[name].has_data(run):
-                raise MissingTraceDataError(
-                    f"run traces lack the data needed by check {name!r}"
-                )
-    return [RUN_CHECKS[name].fn(run, dataset) for name in selected]
+    reports = [RUN_CHECKS[name].fn(run, dataset) for name in selected]
+    for name, report in zip(selected, reports):
+        if not RUN_CHECKS[name].has_data(run):
+            report.na_count = len(run.traces)
+    return reports
 
 
 def envelope_two_stage(eta2, gamma, K, R, r0) -> float:

@@ -45,7 +45,3 @@ class DomainError(LocalGDError, ValueError):
 
 class DegenerateGeometryError(LocalGDError, ValueError):
     """Client directions are antipodal (c <= -1); rate constants are undefined."""
-
-
-class MissingTraceDataError(LocalGDError, ValueError):
-    """A requested check needs trace fields the run did not record."""

@@ -398,6 +398,9 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     if config.eta <= 0:
         raise ValueError(f"eta must be positive, got {config.eta}")
     eta = config.eta
+    etaK = eta * config.K
+    if not math.isfinite(etaK):  # no surrogate losses exist: refused before round 0
+        raise ValueError(f"eta * K must be finite, got {etaK}")
     n1 = dataset.one_sample_per_client
     method = config.gf_method
     if method == "auto":
@@ -406,7 +409,6 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
         raise ValueError("exact local gradient flow needs one sample per client")
 
     M = dataset.M
-    etaK = eta * config.K
     w = _initial_weights(dataset, config)
     err_max = 0.0  # RK4 error estimate; the exact flow has none
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from localgd import data
 from localgd.data import FederatedDataset, RawSample, prepare
 
 
@@ -29,6 +30,15 @@ def separable_dataset(rng, M=2, n=3, d=4, offset=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Fail the test if anything runs the margin solver."""
+    def solver(*_args):
+        raise AssertionError("the margin solver ran")
+
+    monkeypatch.setattr(data, "_margin_solver", solver)
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -328,18 +328,18 @@ class TestSweep:
         assert cli._sweep_dataset is None
 
     def test_sweep_fingerprints_dataset_once(self, synthetic_file, tmp_path, monkeypatch):
+        # load_dataset's verifying hash is the only one, however many cells run
         calls = []
         fingerprint = FederatedDataset.fingerprint
         monkeypatch.setattr(FederatedDataset, "fingerprint",
                             lambda ds: calls.append(1) or fingerprint(ds))
         monkeypatch.setenv("LOCALGD_THREADS", "1")
-        counts = []
-        for grid in ("1", "1,2,3,4"):
+        flags = ["--dataset", str(synthetic_file), "--eta", "1", "--R", "3"]
+        for argv in (["sweep", *flags, "--K-grid", "1"], ["sweep", *flags, "--K-grid", "1,2,3,4"],
+                     ["run", *flags]):
             calls.clear()
-            assert cli.main(["sweep", "--dataset", str(synthetic_file), "--eta", "1", "--R", "3",
-                             "--K-grid", grid, "--out-dir", str(tmp_path / grid)]) == 0
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            assert cli.main([*argv, "--out-dir", str(tmp_path / str(len(argv)))]) == 0
+            assert len(calls) == 1, argv
 
     def test_worker_count(self, synthetic_file, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("LOCALGD_THREADS", raising=False)
@@ -365,7 +365,7 @@ class TestSweep:
     def test_cell_exit_codes_match_run(self, synthetic_file, tmp_path, monkeypatch):
         # invalid input exits 1 in a cell as in `run`, through the same table
         monkeypatch.setenv("LOCALGD_THREADS", "1")
-        cases = (["--eta", "1", "--K", "2", "--checks", "lyapunov"],
+        cases = (["--policy", "two-stage", "--K", "2"],
                  ["--eta", "1", "--K", "0"],
                  ["--optimizer", "two-stage", "--eta1", "0.2", "--eta2", "3", "--r0", "5",
                   "--K", "2"])
@@ -470,6 +470,44 @@ class TestCheckCommand:
             bad.write_text(json.dumps({**summary, "dataset": dataset}))
             code = cli.main(["check", "--run", str(bad), "--dataset", str(synthetic_file)])
             assert code == cli.EXIT_IO, dataset
+
+
+class TestNotApplicable:
+    """A check that cannot judge a run reports it N/A; the command goes on."""
+
+    MULTI = DATA_DIR / "golden_multi_sample.json"  # stores no margin
+
+    @staticmethod
+    def _stable_reports_na(reports, n_traces):
+        stable = [r for r in reports if r["name"].startswith("stable-")]
+        assert stable
+        for r in stable:
+            assert (r["passed"], r["instances_checked"], r["na_count"]) == (True, 0, n_traces)
+
+    def test_data_without_margin_never_runs_the_solver(self, tmp_path, capsys, no_solver):
+        code = cli.main(["run", "--dataset", str(self.MULTI), "--policy", "small", "--K", "3", "--R", "10",
+                         "--checks", "drift,bias,stable-rate", "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert (tmp_path / "out/run.csv").exists()
+        summary = json.loads((tmp_path / "out/run.json").read_text())
+        assert [r["name"] for r in summary["checks"]] == ["client-drift", "gradient-bias", "stable-rate"]
+        self._stable_reports_na(summary["checks"], len(summary["traces"]))
+        capsys.readouterr()
+        code = cli.main(["check", "--run", str(tmp_path / "out/run.json"), "--dataset", str(self.MULTI)])
+        assert code == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert len(reports) == 5
+        self._stable_reports_na(reports, len(summary["traces"]))
+
+    def test_named_check_without_trace_data(self, synthetic_file, tmp_path):
+        # a flow run records no drift: the named check reports every round N/A
+        code = cli.main(["run", "--dataset", str(synthetic_file), "--optimizer", "local-gf",
+                         "--eta", "1", "--K", "2", "--R", "5", "--checks", "drift",
+                         "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "run.csv").exists()
+        (drift,) = json.loads((tmp_path / "run.json").read_text())["checks"]
+        assert (drift["name"], drift["instances_checked"], drift["na_count"]) == ("client-drift", 0, 6)
 
 
 class TestExitCodes:

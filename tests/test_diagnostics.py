@@ -6,7 +6,6 @@ import pytest
 
 from localgd import diagnostics, losses
 from localgd.data import FederatedDataset, SyntheticSpec, compute_margin, gen_synthetic
-from localgd.errors import MissingTraceDataError
 from localgd.optim import RunConfig, run_local_gd, run_local_gf, run_two_stage
 from localgd.schedules import theory_eta1, theory_r0
 
@@ -92,6 +91,12 @@ class TestEnvelopeGf:
 
 
 class TestGradientObjectiveBounds:
+    def test_lower_bound_needs_a_certified_margin(self, rng, no_solver):
+        ds = separable_dataset(rng, M=2, n=3, d=4)
+        report = diagnostics.check_gradient_objective_bounds(ds, [np.zeros(4)])
+        assert report.passed
+        assert report.na_count == 1
+
     def test_at_origin(self, rng):
         ds = separable_dataset(rng, M=2, n=3, d=4)
         report = diagnostics.check_gradient_objective_bounds(ds, [np.zeros(4)])
@@ -183,11 +188,19 @@ class TestCheckRun:
 
     def test_eta_above_four_marks_rate_not_applicable(self, rng):
         ds = separable_dataset(rng, M=2, n=2, d=3)
+        compute_margin(ds)  # a certified gamma, so only the eta > 4 gate can rule rounds out
         res = run_local_gd(ds, RunConfig(R=10, K=2, eta=6.0))
         reports = {r.name: r for r in diagnostics.check_run(res, ds)}
         assert reports["stable-rate"].instances_checked == 0
         assert reports["stable-rate"].na_count > 0
         assert reports["client-drift"].instances_checked > 0  # eta <= 8 still checked
+
+    def test_rate_checks_without_margin_are_not_applicable(self, rng, no_solver):
+        ds = separable_dataset(rng, M=2, n=2, d=3)
+        res = run_local_gd(ds, RunConfig(R=10, K=2, eta=1.0))
+        names = ["stable-rate", "stable-monotone", "stable-rate-strict"]
+        for report in diagnostics.check_run(res, ds, checks=names):
+            assert (report.passed, report.instances_checked, report.na_count) == (True, 0, 11)
 
     def test_lyapunov_checks_on_flow_run(self):
         ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
@@ -217,11 +230,14 @@ class TestCheckRun:
         assert report.instances_checked == 0
         assert report.na_count == len(res.traces)
 
-    def test_explicit_request_without_data_fails(self, rng):
+    def test_explicit_request_without_data_is_not_applicable(self, rng):
+        # a flow run records no drift or bias: the named checks report the whole run N/A
         ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
         res = run_local_gf(ds, RunConfig(R=5, K=2, eta=1.0))
-        with pytest.raises(MissingTraceDataError):
-            diagnostics.check_run(res, ds, checks=["drift"])
+        reports = diagnostics.check_run(res, ds, checks=["drift", "bias"])
+        assert [r.name for r in reports] == ["client-drift", "gradient-bias"]
+        for report in reports:
+            assert (report.passed, report.instances_checked, report.na_count) == (True, 0, 6)
         with pytest.raises(ValueError, match="unknown check"):
             diagnostics.check_run(res, ds, checks=["entropy"])
 

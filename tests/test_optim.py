@@ -401,7 +401,7 @@ def _outcome(run, ds, cfg):
     except DivergenceError as err:
         return err.round_index, err.traces
     except ValueError as err:
-        assert "b must be finite" in str(err)
+        assert str(err) == "eta * K must be finite, got inf"
         return "refused", []
 
 
@@ -441,12 +441,16 @@ class TestDivergenceRule:
                 assert stop == stop_mg, every
                 assert [t.r for t in traces] == [t.r for t in traces_mg], every
                 outcomes += gd.values()
+            refused = []
             for method in ("exact", "numeric"):
                 flow = RunConfig(gf_method=method, gf_substeps=4, **cfg)
                 runs = [_outcome(run_local_gf, ds, replace(flow, trace_every=every))
                         for every in (1, trace_every)]
                 assert runs[0][0] == runs[1][0], method
+                refused.append(runs[0][0] == "refused")
                 outcomes += runs
+            # both flow methods refuse eta * K = inf, with the same error, or neither does
+            assert refused in ([True, True], [False, False])
         for _stop, traces in outcomes:
             for t in traces:
                 assert all(map(math.isfinite, _numbers(t))), t
@@ -460,6 +464,14 @@ class TestDivergenceRule:
         bounds = [v for t in res.traces if t.drift is not None for v in (*t.drift, *t.bias)]
         assert bounds and all(map(math.isfinite, bounds))
         assert max(res.traces[0].drift) > 1e154
+
+    def test_flow_with_infinite_eta_k_is_refused_by_both_methods(self):
+        # the start's margin (6000) is outside the surrogates' range; the refusal
+        # comes first on both methods, before round 0
+        ds = FederatedDataset(clients=[np.array([[0.6, 0.8]])], d=2)
+        for method in ("exact", "numeric"):
+            with pytest.raises(ValueError, match=r"^eta \* K must be finite, got inf$"):
+                run_local_gf(ds, RunConfig(R=3, K=2, eta=1e308, w0=(1e4, 0.0), gf_method=method))
 
     def test_start_with_overflowing_norm_diverges_at_round_zero_on_every_runner(self):
         # ||w0||^2 = 1e400 overflows while w0 and its margins are finite; the rule
