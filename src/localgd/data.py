@@ -370,16 +370,27 @@ def _dataset_payload(ds: FederatedDataset):
         "d": ds.d,
         "M": ds.M,
         "n": n,
-        "clients": [[list(map(float, z)) for z in Z] for Z in ds.clients],
+        "clients": [np.asarray(Z, dtype=np.float64) for Z in ds.clients],
         "margin": None
         if ds.margin is None
-        else {"gamma": float(ds.margin[0]), "w_star": list(map(float, ds.margin[1]))},
+        else {"gamma": float(ds.margin[0]),
+              "w_star": np.asarray(ds.margin[1], dtype=np.float64)},
     }
     return payload
 
 
 def save_dataset(ds: FederatedDataset, path, extra=None):
-    """Write the versioned JSON snapshot of a dataset (margin included if cached)."""
+    """Write the versioned JSON snapshot of a dataset (margin included if cached).
+
+    A payload holding a NaN or an infinity raises ValueError, so every file
+    this writes loads back.
+    """
+    payload = _dataset_payload(ds)
+    values = list(payload["clients"])
+    if payload["margin"] is not None:
+        values += payload["margin"].values()
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("dataset holds a non-finite value")
     doc = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -387,23 +398,82 @@ def save_dataset(ds: FederatedDataset, path, extra=None):
     }
     if extra:
         doc.update(extra)
-    doc.update(_dataset_payload(ds))
+    doc.update(payload)
     write_json(path, doc)
 
 
 def write_json(path, doc):
-    """Write ``doc`` as the JSON artifact format: two-space indent, final newline."""
+    """Write ``doc`` as the JSON artifact format: two-space indent, final newline.
+
+    The bytes are those of ``json.dump(doc, f, indent=2)`` with every float64
+    ndarray replaced by its ``tolist()``. That encoder is pure Python once
+    ``indent`` is set, so the arrays are written apart: each distinct bit
+    pattern among them (bits, so -0.0 stays -0.0) is encoded once by the C
+    encoder, and each array's tokens are laid out at the indentation of the
+    placeholder string that stood in for it.
+    """
+    arrays = []
+
+    def stash(obj):
+        if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+            arrays.append(obj)
+            return tag
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    def nest(tokens, shape, indent):
+        if not shape:
+            return tokens[0]
+        if shape[0] == 0:
+            return "[]"
+        inner = indent + "  "
+        if len(shape) == 1:
+            body = (",\n" + inner).join(tokens)
+        else:
+            step = len(tokens) // shape[0]
+            body = (",\n" + inner).join(nest(tokens[i * step:(i + 1) * step], shape[1:], inner)
+                                        for i in range(shape[0]))
+        return "[\n" + inner + body + "\n" + indent + "]"
+
+    tag = "@ndarray"
+    while True:
+        arrays.clear()
+        pieces = json.dumps(doc, indent=2, default=stash).split(json.dumps(tag))
+        if len(pieces) == len(arrays) + 1:
+            break
+        tag += "@"  # a string in doc encodes to text holding the placeholder's
+    tokens = []
+    if arrays:
+        flat = np.concatenate([array.ravel() for array in arrays])
+        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        distinct = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+        tokens = np.array(distinct, dtype=object)[inverse].tolist()
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
+        f.write(pieces[0])
+        start = 0
+        for array, before, after in zip(arrays, pieces, pieces[1:]):
+            line = before[before.rfind("\n") + 1:]
+            indent = " " * (len(line) - len(line.lstrip(" ")))
+            f.write(nest(tokens[start:start + array.size], array.shape, indent))
+            f.write(after)
+            start += array.size
         f.write("\n")
+
+
+def _finite(values):
+    """``values`` as a float64 array; an entry that is not a finite number is a ValueError."""
+    array = np.array(values)
+    if array.dtype.kind not in "fi" or not np.isfinite(array).all():
+        raise ValueError("an entry is not a finite number")
+    return array.astype(np.float64, copy=False)
 
 
 def load_dataset(path) -> FederatedDataset:
     """Read a dataset snapshot written by save_dataset, verifying its format.
 
     A file that parses as JSON but is not a well-formed snapshot (wrong format
-    or version, missing keys, rows that are not ``d`` long, a fingerprint that
-    does not match the payload) raises IdxFormatError.
+    or version, missing keys, rows that are not ``d`` long, an entry that is
+    not a finite number, a fingerprint that does not match the payload) raises
+    IdxFormatError.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -414,10 +484,10 @@ def load_dataset(path) -> FederatedDataset:
         d = int(doc["d"])
         if d < 1:
             raise ValueError(f"d = {d}")
-        clients = [np.array(Z, dtype=np.float64).reshape(len(Z), d) for Z in doc["clients"]]
+        clients = [_finite(Z).reshape(len(Z), d) for Z in doc["clients"]]
         margin = None
         if doc.get("margin"):
-            margin = (float(doc["margin"]["gamma"]), np.array(doc["margin"]["w_star"]))
+            margin = (float(_finite(doc["margin"]["gamma"])), _finite(doc["margin"]["w_star"]))
     except (KeyError, TypeError, ValueError) as err:
         raise IdxFormatError(f"{path}: malformed dataset file ({type(err).__name__}: {err})") from None
     ds = FederatedDataset(clients=clients, d=d, margin=margin)

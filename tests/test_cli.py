@@ -36,6 +36,11 @@ class TestGenData:
             cli.main(["gen-data", "synthetic", "--delta", "0.5", "--g", "2", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_synthetic_reproduces_golden_file(self, tmp_path):
+        out = tmp_path / "syn.json"
+        assert cli.main(["gen-data", "synthetic", "--delta", "0.1", "--g", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_synthetic.json").read_bytes()
+
     def test_mnist_partition_file(self, tmp_path, rng):
         from test_data import write_idx_pair
 
@@ -537,6 +542,17 @@ class TestExitCodes:
         cells = json.loads((tmp_path / "sweep/index.json").read_text())["cells"]
         assert [c["exit"] for c in cells] == [cli.EXIT_IO] * 2
         assert all(str(no_d) in c["error"] for c in cells)
+
+    def test_non_numeric_entry_is_format_error(self, synthetic_file, tmp_path):
+        # without a fingerprint only the entry check stands between null and NaN
+        doc = json.loads(synthetic_file.read_text())
+        del doc["fingerprint"]
+        doc["clients"][0][0][0] = None
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", "--dataset", str(path), "--eta", "1", "--R", "3",
+                         "--out-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_IO
 
     def test_envelope_command(self, capsys):
         assert cli.main(["envelope", "--kind", "two-stage", "--gamma", "0.5",

@@ -1,10 +1,13 @@
 import json
 import math
+import pathlib
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localgd import data
 from localgd.data import (
@@ -21,6 +24,8 @@ from localgd.data import (
     save_dataset,
 )
 from localgd.errors import IdxFormatError, SeparabilityError
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 class TestPrepare:
@@ -305,10 +310,10 @@ class TestMargin:
 
 
 class TestSerialization:
-    def test_roundtrip(self, rng):
+    def test_roundtrip(self, tmp_path):
         ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
         compute_margin(ds)
-        path = "/tmp/localgd_test_ds.json"
+        path = tmp_path / "ds.json"
         save_dataset(ds, path)
         back = load_dataset(path)
         assert back.fingerprint() == ds.fingerprint()
@@ -351,6 +356,14 @@ class TestSerialization:
         "no-gamma": lambda doc: doc["margin"].pop("gamma"),
         "ragged-rows": lambda doc: doc["clients"][1].append([0.5]),
         "fingerprint": lambda doc: doc["clients"][0][0].__setitem__(0, 0.25),
+        # the entry cases drop the fingerprint, which would catch them first
+        "null-entry": lambda doc: _unsigned(doc)["clients"][0][0].__setitem__(0, None),
+        "string-entry": lambda doc: _unsigned(doc)["clients"][1][0].__setitem__(1, "0.5"),
+        "bool-row": lambda doc: _unsigned(doc)["clients"][0].__setitem__(0, [True, False]),
+        "nan-entry": lambda doc: _unsigned(doc)["clients"][0][0].__setitem__(0, math.nan),
+        "infinite-entry": lambda doc: _unsigned(doc)["clients"][1][0].__setitem__(0, -math.inf),
+        "string-gamma": lambda doc: doc["margin"].update(gamma="0.5"),
+        "null-w_star": lambda doc: doc["margin"]["w_star"].__setitem__(0, None),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -364,3 +377,108 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(IdxFormatError, match=re.escape(str(path))):
             load_dataset(path)
+
+    @pytest.mark.parametrize("where", ["client", "gamma", "w_star"])
+    def test_save_refuses_non_finite(self, tmp_path, where):
+        ds = gen_synthetic(SyntheticSpec(delta=1.0, g=1))
+        compute_margin(ds)
+        gamma, w_star = ds.margin
+        if where == "client":
+            ds.clients[0] = np.array([[0.5, math.nan]])
+        elif where == "gamma":
+            ds.margin = (math.inf, w_star)
+        else:
+            ds.margin = (gamma, np.array([0.5, -math.inf]))
+        with pytest.raises(ValueError, match="non-finite"):
+            save_dataset(ds, tmp_path / "ds.json")
+
+
+def _unsigned(doc):
+    doc.pop("fingerprint")
+    return doc
+
+
+def _oracle_bytes(ds, extra=None):
+    """The dataset file as json.dump(indent=2) writes it with every array as lists of floats."""
+    doc = {"format": data.DATASET_FORMAT, "version": data.DATASET_VERSION,
+           "fingerprint": ds.fingerprint()}
+    doc.update(extra or {})
+    sizes = ds.client_sizes
+    doc.update({
+        "d": ds.d,
+        "M": ds.M,
+        "n": sizes[0] if len(set(sizes)) == 1 else sizes,
+        "clients": [[list(map(float, z)) for z in Z] for Z in ds.clients],
+        "margin": None if ds.margin is None else {"gamma": float(ds.margin[0]),
+                                                  "w_star": list(map(float, ds.margin[1]))},
+    })
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+# -0.0, subnormals and values near the float64 range, beside arbitrary finite floats
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                     1e-300, -1e-300, 1.7976931348623157e308, 1.0, 0.1, -0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# strings the writer's placeholder could collide with, beside arbitrary text
+_STRINGS = st.one_of(st.sampled_from(["@ndarray", "@ndarray@", "@ndarray@@", 'x"@ndarray', "[]"]),
+                     st.text(max_size=12))
+
+
+@st.composite
+def _datasets(draw):
+    d = draw(st.integers(1, 5))
+    # a small pool gives repeated values; drawing each entry afresh gives distinct ones
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
+    values = draw(st.sampled_from([st.sampled_from(pool), _FLOATS]))
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    if dtype is np.int64:
+        values = st.integers(-2**53, 2**53)
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    clients = [np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                      min_size=n, max_size=n)), dtype=dtype).reshape(n, d)
+               for n in sizes]
+    margin = None
+    if draw(st.booleans()):
+        w_star = np.array(draw(st.lists(values, min_size=d, max_size=d)), dtype=dtype)
+        margin = (draw(_FLOATS), w_star)
+    return FederatedDataset(clients=clients, d=d, margin=margin)
+
+
+_EXTRA = st.dictionaries(
+    st.one_of(st.just("clients"), _STRINGS),
+    st.recursive(st.one_of(st.none(), st.booleans(), _FLOATS, st.integers(), _STRINGS),
+                 lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                         st.dictionaries(_STRINGS, inner, max_size=3)),
+                 max_leaves=6),
+    max_size=4,
+)
+
+
+class TestDatasetBytes:
+    """save_dataset writes exactly the bytes json.dump(indent=2) gives for lists of floats."""
+
+    @given(ds=_datasets(), extra=_EXTRA)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dump(self, tmp_path_factory, ds, extra):
+        path = tmp_path_factory.mktemp("bytes") / "ds.json"
+        save_dataset(ds, path, extra=extra)
+        assert path.read_bytes() == _oracle_bytes(ds, extra)
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        # 0.0 == -0.0, so a writer that merged values by equality would print one for both
+        ds = FederatedDataset(clients=[np.array([[0.0, -0.0], [-0.0, 0.0]])], d=2,
+                              margin=(0.5, np.array([-0.0, 0.0])))
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path)
+        assert path.read_bytes() == _oracle_bytes(ds)
+        back = load_dataset(path)
+        assert np.signbit(back.clients[0]).tolist() == [[False, True], [True, False]]
+        assert np.signbit(back.margin[1]).tolist() == [True, False]
+
+    def test_golden_multi_sample_rewrites_itself(self, tmp_path):
+        golden = DATA_DIR / "golden_multi_sample.json"
+        path = tmp_path / "ds.json"
+        save_dataset(load_dataset(golden), path)
+        assert path.read_bytes() == golden.read_bytes()
