@@ -21,8 +21,12 @@ Each kernel has two backends that agree bitwise:
   below ``C_MIN_WORK`` and wherever the library cannot be built (with one
   RuntimeWarning per process).
 
-Both perform the same IEEE double operations in the same order; an
-overflowing exp counts as inf, so the local step from there is e / inf = 0.
+They agree client by client: each client's chain of local steps (or RK4
+substeps) performs the same IEEE double operations in the same order on both,
+and the averaging and the divergence rule sum over clients in ascending order.
+Only the chains of different clients, which share no data, may interleave: the
+C kernels step a block of clients side by side so that their chains overlap.
+An overflowing exp counts as inf, so the local step from there is e / inf = 0.
 """
 
 from __future__ import annotations

@@ -53,13 +53,15 @@ class UsageError(Exception):
 
 
 # Exception -> exit code for `main` and for each sweep cell; the first matching
-# entry wins (JSONDecodeError and IdxFormatError are ValueErrors too).
+# entry wins (JSONDecodeError, IdxFormatError and UnicodeDecodeError, a file that
+# is not UTF-8, are ValueErrors too).
 EXIT_CODES = {
     UsageError: EXIT_USAGE,
     DivergenceError: EXIT_DIVERGENCE,
     OSError: EXIT_IO,
     json.JSONDecodeError: EXIT_IO,
     IdxFormatError: EXIT_IO,
+    UnicodeDecodeError: EXIT_IO,
     ValueError: EXIT_USAGE,
 }
 

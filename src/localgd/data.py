@@ -459,9 +459,15 @@ def write_json(path, doc):
         f.write("\n")
 
 
-def _finite(values):
-    """``values`` as a float64 array; an entry that is not a finite number is a ValueError."""
+def _finite(values, shape):
+    """``values`` as a float64 array of ``shape``; another shape, or an entry that is not a
+    finite number, is a ValueError. An empty list is an empty array of any shape that has
+    no entries, such as a client with no rows."""
     array = np.array(values)
+    if array.size == 0:
+        array = array.reshape(shape)
+    if array.shape != shape:
+        raise ValueError(f"shape {array.shape}, need {shape}")
     if array.dtype.kind not in "fi" or not np.isfinite(array).all():
         raise ValueError("an entry is not a finite number")
     return array.astype(np.float64, copy=False)
@@ -471,8 +477,9 @@ def load_dataset(path) -> FederatedDataset:
     """Read a dataset snapshot written by save_dataset, verifying its format.
 
     A file that parses as JSON but is not a well-formed snapshot (wrong format
-    or version, missing keys, rows that are not ``d`` long, an entry that is
-    not a finite number, a fingerprint that does not match the payload) raises
+    or version, missing keys, an array of the wrong shape such as a row that is
+    not ``d`` entries long or a ``w_star`` that is not, an entry that is not a
+    finite number, a fingerprint that does not match the payload) raises
     IdxFormatError.
     """
     with open(path) as f:
@@ -484,10 +491,11 @@ def load_dataset(path) -> FederatedDataset:
         d = int(doc["d"])
         if d < 1:
             raise ValueError(f"d = {d}")
-        clients = [_finite(Z).reshape(len(Z), d) for Z in doc["clients"]]
+        clients = [_finite(Z, (len(Z), d)) for Z in doc["clients"]]
         margin = None
         if doc.get("margin"):
-            margin = (float(_finite(doc["margin"]["gamma"])), _finite(doc["margin"]["w_star"]))
+            margin = (float(_finite(doc["margin"]["gamma"], ())),
+                      _finite(doc["margin"]["w_star"], (d,)))
     except (KeyError, TypeError, ValueError) as err:
         raise IdxFormatError(f"{path}: malformed dataset file ({type(err).__name__}: {err})") from None
     ds = FederatedDataset(clients=clients, d=d, margin=margin)

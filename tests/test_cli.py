@@ -543,6 +543,17 @@ class TestExitCodes:
         assert [c["exit"] for c in cells] == [cli.EXIT_IO] * 2
         assert all(str(no_d) in c["error"] for c in cells)
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--dataset", "BAD", "--eta", "1", "--R", "3", "--out-dir", "OUT"],
+        ["run", "--config", "BAD", "--dataset", "GOOD", "--eta", "1", "--R", "3", "--out-dir", "OUT"],
+        ["check", "--run", "BAD", "--dataset", "GOOD"],
+    ])
+    def test_file_that_is_not_utf8_is_format_error(self, synthetic_file, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        paths = {"BAD": bad, "GOOD": synthetic_file, "OUT": tmp_path / "run"}
+        assert cli.main([str(paths.get(a, a)) for a in argv]) == cli.EXIT_IO
+
     def test_non_numeric_entry_is_format_error(self, synthetic_file, tmp_path):
         # without a fingerprint only the entry check stands between null and NaN
         doc = json.loads(synthetic_file.read_text())

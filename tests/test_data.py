@@ -364,6 +364,11 @@ class TestSerialization:
         "infinite-entry": lambda doc: _unsigned(doc)["clients"][1][0].__setitem__(0, -math.inf),
         "string-gamma": lambda doc: doc["margin"].update(gamma="0.5"),
         "null-w_star": lambda doc: doc["margin"]["w_star"].__setitem__(0, None),
+        # a row of one-element lists holds the row's payload, so the fingerprint matches
+        "nested-row": lambda doc: doc["clients"][0].__setitem__(0, _nest(doc["clients"][0][0])),
+        "long-w_star": lambda doc: doc["margin"]["w_star"].append(0.0),
+        "nested-w_star": lambda doc: doc["margin"].update(w_star=_nest(doc["margin"]["w_star"])),
+        "list-gamma": lambda doc: doc["margin"].update(gamma=[doc["margin"]["gamma"]]),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -396,6 +401,11 @@ class TestSerialization:
 def _unsigned(doc):
     doc.pop("fingerprint")
     return doc
+
+
+def _nest(row):
+    """``row`` as a list of one-element lists."""
+    return [[x] for x in row]
 
 
 def _oracle_bytes(ds, extra=None):
