@@ -16,10 +16,10 @@ Each kernel has two backends that agree bitwise:
 * C: ``_kernels.c`` in this package, compiled with the system ``cc`` on the
   first run large enough to repay the build (``C_MIN_WORK``), cached under
   ``$XDG_CACHE_HOME/localgd`` (``~/.cache/localgd``) and loaded with ctypes;
-* Python: the ``_*_core`` bodies below, stepping through lists of Python
-  floats. They are the reference the C port is tested against, and run
-  below ``C_MIN_WORK`` and wherever the library cannot be built (with one
-  RuntimeWarning per process).
+* Python: the ``_*_core`` bodies below, each a per-client step inside the one
+  round loop ``_rounds``, on lists of Python floats. They are the reference
+  the C port is tested against, and run below ``C_MIN_WORK`` and wherever the
+  library cannot be built (with one RuntimeWarning per process).
 
 They agree client by client: each client's chain of local steps (or RK4
 substeps) performs the same IEEE double operations in the same order on both,
@@ -144,7 +144,7 @@ def _traced(hist, used, M):
 
 def _rule_holds(gammas, a0, w0_sq, a, C):
     """Whether ||w||^2 is finite and, for the flow (gammas), every |gamma_m a_m| <= 700.
-    The bodies call it at round 0 and apply it inline, in its order, after each averaging."""
+    ``_rounds`` checks it at round 0 and fuses it, in its order, into each averaging."""
     s = 0.0  # summed in order, as C does (sum() compensates from Python 3.12 on)
     for m in range(len(a)):
         s += C[m] / len(a) * (a0[m] + a[m])
@@ -152,17 +152,43 @@ def _rule_holds(gammas, a0, w0_sq, a, C):
         gammas is None or all(abs(g * am) <= 700.0 for g, am in zip(gammas, a)))
 
 
-def _local_gd_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, stride, C, C_sum, S_local,
-                          delta, a_hist, C_hist, r_hist):
-    M = len(gammas)
+def _rounds(gammas, G, a0, w0_sq, a, rounds, stride, C, delta, a_hist, C_hist, r_hist, step):
+    """The round loop of both Python bodies, as in C: the rule at round 0, a record every
+    ``stride`` rounds and at the last, and each round ``step()``, which fills ``delta``, then
+    the Gram averaging with the rule fused in (the range test if ``gammas`` is given)."""
+    M = len(a)
+    ranged = gammas is not None
     r = slot = 0
-    holds = _rule_holds(None, a0, w0_sq, a, C)
+    holds = _rule_holds(gammas, a0, w0_sq, a, C)
     while holds:
         if r % stride == 0 or r == rounds:
             a_hist[slot], C_hist[slot], r_hist[slot] = a[:], C[:], r
             slot += 1
         if r == rounds:
             return slot
+        step()
+        s, in_range = 0.0, True
+        for m in range(M):
+            Gm = G[m]
+            upd = 0.0
+            for mm in range(M):
+                upd += Gm[mm] * delta[mm]
+            a[m] = am = a[m] + upd / M
+            C[m] = cm = C[m] + delta[m]
+            s += cm / M * (a0[m] + am)
+            if ranged and not abs(gammas[m] * am) <= 700.0:
+                in_range = False
+        holds = in_range and math.isfinite(w0_sq + s)
+        r += 1
+    r_hist[slot] = r
+    return slot
+
+
+def _local_gd_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, stride, C, C_sum, S_local,
+                          delta, a_hist, C_hist, r_hist):
+    M = len(a)
+
+    def step():
         for m in range(M):
             C_sum[m] += C[m]
             am = a[m]
@@ -178,20 +204,8 @@ def _local_gd_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, stride, C, C_
                     al = al + e / (1.0 + math.inf)
             S_local[m] += acc
             delta[m] = al - am
-        # averaging and the rule inline, as in the flow body: a call per round costs ~5% at K=4
-        s = 0.0
-        for m in range(M):
-            Gm = G[m]
-            upd = 0.0
-            for mm in range(M):
-                upd += Gm[mm] * delta[mm]
-            a[m] = am = a[m] + upd / M
-            C[m] = cm = C[m] + delta[m]
-            s += cm / M * (a0[m] + am)
-        holds = math.isfinite(w0_sq + s)
-        r += 1
-    r_hist[slot] = r
-    return slot
+
+    return _rounds(None, G, a0, w0_sq, a, rounds, stride, C, delta, a_hist, C_hist, r_hist, step)
 
 
 def local_gd_margin(gammas, G, a0, w0_sq, eta, K, rounds, stride=1):
@@ -247,17 +261,11 @@ def _rk4_flow(a, g, eta, t_total, substeps):
 
 def _gf_numeric_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, substeps, stride, C,
                             delta, a_hist, C_hist, r_hist):
-    M = len(gammas)
-    T = float(K)
-    r = slot = 0
+    M, T = len(a), float(K)
     err_max = 0.0
-    holds = _rule_holds(gammas, a0, w0_sq, a, C)
-    while holds:
-        if r % stride == 0 or r == rounds:
-            a_hist[slot], C_hist[slot], r_hist[slot] = a[:], C[:], r
-            slot += 1
-        if r == rounds:
-            return slot, err_max
+
+    def step():
+        nonlocal err_max
         for m in range(M):
             am = a[m]
             g = gammas[m]
@@ -268,20 +276,9 @@ def _gf_numeric_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, substeps, s
                 if diff > err_max:
                     err_max = diff
             delta[m] = end - am
-        s, in_range = 0.0, True
-        for m in range(M):
-            Gm = G[m]
-            upd = 0.0
-            for mm in range(M):
-                upd += Gm[mm] * delta[mm]
-            a[m] = am = a[m] + upd / M
-            C[m] = cm = C[m] + delta[m]
-            s += cm / M * (a0[m] + am)
-            in_range = in_range and abs(gammas[m] * am) <= 700.0
-        holds = in_range and math.isfinite(w0_sq + s)
-        r += 1
-    r_hist[slot] = r
-    return slot, err_max
+
+    used = _rounds(gammas, G, a0, w0_sq, a, rounds, stride, C, delta, a_hist, C_hist, r_hist, step)
+    return used, err_max
 
 
 def gf_numeric_margin(gammas, G, a0, w0_sq, eta, K, rounds, substeps, stride=1):

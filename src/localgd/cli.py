@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, diagnostics, optim, schedules, specialfn
+from . import __version__, diagnostics, optim, schedules
 from .data import (
     PartitionSpec,
     SyntheticSpec,
@@ -240,12 +240,6 @@ def _run_config(args):
     )
 
 
-def _flow_constants(dataset, etaK):
-    """TheoryConstants of a two-client flow run, and the dict of them that is printed."""
-    tc = specialfn.theory_constants(specialfn.make_gf_state(*dataset.sample_geometry(), etaK), etaK)
-    return tc, {k: getattr(tc, k) for k in ("L0", "H0", "nu", "tau", "tau0", "tau1", "c")}
-
-
 def _envelope_block(dataset, args, config):
     """Envelope values relevant to this run; entries are None when inapplicable."""
     out = {}
@@ -261,7 +255,7 @@ def _envelope_block(dataset, args, config):
         out["baseline_global"] = diagnostics.envelope_baseline("global", gamma, config.K, config.R)
         out["baseline_local"] = diagnostics.envelope_baseline("local", gamma, config.K, config.R)
     if args.optimizer == "local-gf" and dataset.M == 2 and dataset.one_sample_per_client:
-        tc, out["gf_constants"] = _flow_constants(dataset, config.eta * config.K)
+        tc, out["gf_constants"] = diagnostics.flow_constants(dataset, config.eta * config.K)
         if math.isfinite(tc.tau) and config.R > tc.tau:
             out["gf_final"] = tc.envelope(config.R, "main")
     return out
@@ -481,7 +475,7 @@ def _cmd_envelope(args):
     else:
         if args.dataset is None or args.eta is None or args.K is None or args.r is None:
             raise UsageError("envelope --kind gf needs --dataset, --eta, --K and --r")
-        tc, constants = _flow_constants(load_dataset(args.dataset), args.eta * args.K)
+        tc, constants = diagnostics.flow_constants(load_dataset(args.dataset), args.eta * args.K)
         value = tc.envelope(args.r, variant=args.variant)
         doc = {"kind": args.kind, "variant": args.variant, "value": value,
                "constants": constants}

@@ -459,46 +459,67 @@ def write_json(path, doc):
         f.write("\n")
 
 
-def _finite(values, shape):
+def _holds_bool(values):
+    """Whether a JSON boolean sits anywhere in ``values``, a number or nested lists."""
+    if isinstance(values, list):
+        return any(_holds_bool(v) for v in values)
+    return isinstance(values, bool)
+
+
+def _finite(values, shape, bools):
     """``values`` as a float64 array of ``shape``; another shape, or an entry that is not a
     finite number, is a ValueError. An empty list is an empty array of any shape that has
-    no entries, such as a client with no rows."""
+    no entries, such as a client with no rows. With ``bools`` (the file's text holds true or
+    false) each entry is also tested for a boolean, which np.array would make 1.0 or 0.0."""
     array = np.array(values)
     if array.size == 0:
         array = array.reshape(shape)
     if array.shape != shape:
         raise ValueError(f"shape {array.shape}, need {shape}")
-    if array.dtype.kind not in "fi" or not np.isfinite(array).all():
+    if (array.dtype.kind not in "fi" or not np.isfinite(array).all()
+            or bools and _holds_bool(values)):
         raise ValueError("an entry is not a finite number")
     return array.astype(np.float64, copy=False)
+
+
+def _read_json(path):
+    """The JSON document in ``path``, and whether its text could hold a boolean: JSON spells
+    one true or false, and a text without either word holds none."""
+    with open(path) as f:
+        text = f.read()
+    return json.loads(text), "true" in text or "false" in text
 
 
 def load_dataset(path) -> FederatedDataset:
     """Read a dataset snapshot written by save_dataset, verifying its format.
 
     A file that parses as JSON but is not a well-formed snapshot (wrong format
-    or version, missing keys, an array of the wrong shape such as a row that is
-    not ``d`` entries long or a ``w_star`` that is not, an entry that is not a
-    finite number, a fingerprint that does not match the payload) raises
-    IdxFormatError.
+    or version, missing keys, a ``d`` that is not a JSON integer, an ``M`` or
+    ``n`` other than the one save_dataset writes for the clients, an array of
+    the wrong shape such as a row that is not ``d`` entries long or a ``w_star``
+    that is not, an entry that is not a finite number, a boolean included, a
+    fingerprint that does not match the payload) raises IdxFormatError.
     """
-    with open(path) as f:
-        doc = json.load(f)
+    doc, bools = _read_json(path)
     if (not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT
             or doc.get("version") != DATASET_VERSION):
         raise IdxFormatError(f"{path}: not a version-{DATASET_VERSION} dataset file")
     try:
-        d = int(doc["d"])
-        if d < 1:
-            raise ValueError(f"d = {d}")
-        clients = [_finite(Z, (len(Z), d)) for Z in doc["clients"]]
+        d = doc["d"]
+        if type(d) is not int or d < 1:
+            raise ValueError(f"d = {d!r}")
+        clients = [_finite(Z, (len(Z), d), bools) for Z in doc["clients"]]
         margin = None
         if doc.get("margin"):
-            margin = (float(_finite(doc["margin"]["gamma"], ())),
-                      _finite(doc["margin"]["w_star"], (d,)))
+            margin = (float(_finite(doc["margin"]["gamma"], (), bools)),
+                      _finite(doc["margin"]["w_star"], (d,), bools))
+        ds = FederatedDataset(clients=clients, d=d, margin=margin)
+        payload = _dataset_payload(ds)
+        for key in ("M", "n"):
+            if json.dumps(doc[key]) != json.dumps(payload[key]):
+                raise ValueError(f"{key} = {doc[key]!r}, but the clients give {payload[key]!r}")
     except (KeyError, TypeError, ValueError) as err:
         raise IdxFormatError(f"{path}: malformed dataset file ({type(err).__name__}: {err})") from None
-    ds = FederatedDataset(clients=clients, d=d, margin=margin)
     ds.file_fingerprint = ds.fingerprint()
     if "fingerprint" in doc and doc["fingerprint"] != ds.file_fingerprint:
         raise IdxFormatError(f"{path}: fingerprint mismatch; file was modified")

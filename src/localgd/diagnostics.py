@@ -27,6 +27,7 @@ __all__ = [
     "check_run",
     "envelope_two_stage",
     "envelope_baseline",
+    "flow_constants",
     "RUN_CHECKS",
 ]
 
@@ -217,6 +218,13 @@ def _check_lyapunov(run, dataset):
     return report
 
 
+def flow_constants(dataset, etaK):
+    """TheoryConstants of a flow at eta*K = ``etaK`` on ``dataset``'s two one-sample clients,
+    and the dict of them that a flow run's summary and ``envelope --kind gf`` print."""
+    tc = specialfn.theory_constants(specialfn.make_gf_state(*dataset.sample_geometry(), etaK), etaK)
+    return tc, {k: getattr(tc, k) for k in ("L0", "H0", "nu", "tau", "tau0", "tau1", "c")}
+
+
 def _check_lyapunov_rate(run, dataset):
     """Lyapunov decay 1/(1/L_q + nu*(r-q)/2) with the observed projection floor.
 
@@ -234,7 +242,7 @@ def _check_lyapunov_rate(run, dataset):
     # floor over the trajectory of the worst client's projection
     a_floor = min(t.a[int(np.argmax(t.rho))] for t in traced)
     try:
-        tc = specialfn.theory_constants(specialfn.make_gf_state(*dataset.sample_geometry(), etaK), etaK)
+        tc, _printed = flow_constants(dataset, etaK)
         exp_arg = -tc.gamma_max * a_floor
     except DegenerateGeometryError:
         exp_arg = math.inf

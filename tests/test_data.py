@@ -369,6 +369,18 @@ class TestSerialization:
         "long-w_star": lambda doc: doc["margin"]["w_star"].append(0.0),
         "nested-w_star": lambda doc: doc["margin"].update(w_star=_nest(doc["margin"]["w_star"])),
         "list-gamma": lambda doc: doc["margin"].update(gamma=[doc["margin"]["gamma"]]),
+        # np.array makes a boolean beside a number 1.0 or 0.0
+        "mixed-bool-row": lambda doc: _unsigned(doc)["clients"][0].__setitem__(0, [True, 0.5]),
+        "bool-w_star": lambda doc: doc["margin"]["w_star"].__setitem__(0, False),
+        # d is a JSON integer; M and n are what save_dataset writes for the clients
+        "string-d": lambda doc: doc.update(d="2"),
+        "float-d": lambda doc: doc.update(d=2.5),
+        "wrong-M": lambda doc: doc.update(M=3),
+        "float-M": lambda doc: doc.update(M=2.0),
+        "no-M": lambda doc: doc.pop("M"),
+        "wrong-n": lambda doc: doc.update(n=2),
+        "list-n": lambda doc: doc.update(n=[1, 1]),
+        "no-n": lambda doc: doc.pop("n"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -382,6 +394,16 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(IdxFormatError, match=re.escape(str(path))):
             load_dataset(path)
+
+    def test_booleans_outside_the_arrays_load(self, tmp_path):
+        # the words true and false send the load through the per-entry boolean test
+        ds = gen_synthetic(SyntheticSpec(delta=1.0, g=1))
+        compute_margin(ds)
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path, extra={"note": "true or false", "flag": True})
+        loaded = load_dataset(path)
+        assert loaded.fingerprint() == ds.fingerprint()
+        assert np.array_equal(loaded.margin[1], ds.margin[1])
 
     @pytest.mark.parametrize("where", ["client", "gamma", "w_star"])
     def test_save_refuses_non_finite(self, tmp_path, where):
