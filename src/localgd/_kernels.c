@@ -1,9 +1,11 @@
-/* C ports of the margin-space kernel bodies in _kernels.py.
+/* C ports of the margin-space kernel bodies in _kernels.py, and of
+ * specialfn.log_phi's Newton and bisection solve.
  *
- * The two agree bitwise, client by client: each client's chain of local
- * steps (or RK4 substeps) performs the same IEEE double operations in the
- * same order as in its Python body, and the averaging and the divergence
- * rule sum over clients in ascending order, as there. Only the chains of
+ * The margin kernels agree with their Python bodies bitwise, client by
+ * client: each client's chain of local steps (or RK4 substeps) performs the
+ * same IEEE double operations in the same order as in its Python body, and
+ * the averaging and the divergence rule sum over clients in ascending order,
+ * as there. Only the chains of
  * different clients, which share no data, interleave: the clients step side
  * by side in blocks of BLOCK, the step loop outside and the clients inside,
  * so the CPU overlaps one client's exp with another's instead of waiting on
@@ -16,6 +18,16 @@
  * A run stops at the first round, 0 included, that breaks the divergence
  * rule (see _kernels.py); that round goes to r_hist[slot], the first slot
  * left unwritten. The return value is the number of slots written.
+ *
+ * localgd_log_phi is bitwise specialfn._log_phi by construction: it calls
+ * the libm functions behind CPython's math.exp, expm1, log1p and log, in the
+ * same order, on the same doubles. Where math.exp or math.expm1 would raise
+ * OverflowError (an infinite result from a finite argument), it takes the
+ * branch the Python body's except clause takes, and Python's max(a, b) and
+ * min(a, b) keep their argument order (b only if b > a, resp. b < a), so
+ * -0.0 and NaN come out as in Python. Where the Python body raises, it
+ * returns NaN instead; specialfn runs the Python body on any NaN result, so
+ * that the Python body raises there (or returns its own NaN).
  */
 #include <math.h>
 #include <stdint.h>
@@ -162,4 +174,83 @@ int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double 
     }
     r_hist[slot] = r;
     return slot;
+}
+
+/* whether CPython's math.exp or math.expm1 raises OverflowError at v, whose libm value is r */
+static int overflowed(double r, double v)
+{
+    return isinf(r) && isfinite(v);
+}
+
+/* _below_root: whether g(L) = y*expm1(L) + L - b is negative, also past exp's range */
+static int below_root(double b, double x, double y, double L)
+{
+    /* expm1 overflows only where L > 709, and x >= -700, so exp(-(x + L)) cannot */
+    double em1 = expm1(L);
+    if (!overflowed(em1, L))
+        return y * em1 + L < b;
+    return (b - L) * exp(-(x + L)) > 1.0;
+}
+
+/* _bisect_log_phi */
+static double bisect_log_phi(double b, double x, double y, double hint)
+{
+    double lo = 0.0, hi = 1e-300 > hint ? 1e-300 : hint;
+    while (below_root(b, x, y, hi))
+        hi *= 2.0;
+    for (int i = 0; i < 200; i++) {
+        double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi)
+            return mid;
+        if (below_root(b, x, y, mid))
+            lo = mid;
+        else
+            hi = mid;
+        double scale = 1e-300 > hi ? 1e-300 : hi;
+        if (hi - lo <= 1e-16 * scale)
+            break;
+    }
+    return 0.5 * (lo + hi);
+}
+
+#define NEWTON_STALL 50
+
+/* specialfn._log_phi; NaN where it raises */
+double localgd_log_phi(double b, double x)
+{
+    if (!(0.0 <= b && b < INFINITY) || !isfinite(x) || fabs(x) > 700.0)
+        return NAN;
+    if (b == 0.0)
+        return 0.0;
+    double y = exp(x);
+    double ratio = b / y;
+    double exp_branch = isfinite(ratio) ? log1p(ratio) : log(b) - x;
+    double linear = b / (y + 1.0);
+    double L = exp_branch < linear ? exp_branch : linear;
+    double L_prev = NAN;
+    for (int i = 0; i < NEWTON_STALL; i++) {
+        double em1 = expm1(L), e = 0.0, Ln;
+        if (!overflowed(em1, L))
+            e = exp(L);
+        if (overflowed(em1, L) || overflowed(e, L)) {
+            /* L > 709 here and x >= -700, so this exp cannot overflow */
+            double q = exp(-(x + L));
+            Ln = L - (1.0 + (L - b) * q) / (1.0 + q);
+        } else {
+            double g = y * em1 + L - b;
+            double dg = y * e + 1.0;
+            Ln = L - g / dg;
+        }
+        if (Ln < 0.0)
+            Ln = L * 0.5;
+        double scale = 1e-300 > fabs(Ln) ? 1e-300 : fabs(Ln);
+        if (fabs(Ln - L) <= 1e-16 * scale)
+            return 0.0 > Ln ? 0.0 : Ln;
+        if (Ln == L_prev)
+            /* _stalled_iterate */
+            return bisect_log_phi(b, x, y, (NEWTON_STALL - 1 - i) % 2 == 0 ? Ln : L);
+        L_prev = L;
+        L = Ln;
+    }
+    return bisect_log_phi(b, x, y, L);
 }

@@ -27,6 +27,14 @@ and the averaging and the divergence rule sum over clients in ascending order.
 Only the chains of different clients, which share no data, may interleave: the
 C kernels step a block of clients side by side so that their chains overlap.
 An overflowing exp counts as inf, so the local step from there is e / inf = 0.
+
+The library also holds ``localgd_log_phi``, the C port of ``specialfn``'s
+``log_phi`` solve (Newton, then bisection). It is bitwise equal to the Python
+body by construction: it calls the libm functions behind ``math.exp``,
+``expm1``, ``log1p`` and ``log`` in the same order on the same doubles, takes
+the overflow branch where ``math`` would raise OverflowError, and returns NaN
+where the Python body raises (see the header of ``_kernels.c``). ``specialfn``
+switches a process to it after ``C_MIN_WORK // 16`` calls.
 """
 
 from __future__ import annotations
@@ -75,8 +83,8 @@ def _library():
     """The compiled kernels as a ctypes library, or None (with a warning) if it cannot be had."""
     cc = shutil.which(_CC)
     if cc is None:
-        warnings.warn(f"no C compiler ({_CC!r} not on PATH); margin kernels run as plain "
-                      "Python", RuntimeWarning, stacklevel=3)
+        warnings.warn(f"no C compiler ({_CC!r} not on PATH); the margin kernels and log_phi "
+                      "run as plain Python", RuntimeWarning, stacklevel=3)
         return None
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "localgd"
     import ctypes
@@ -88,8 +96,8 @@ def _library():
             _build(cc, path)
         lib = ctypes.CDLL(str(path))
     except OSError as err:
-        warnings.warn(f"could not build the C margin kernels ({err}); they run as plain "
-                      "Python", RuntimeWarning, stacklevel=3)
+        warnings.warn(f"could not build the C kernels ({err}); the margin kernels and "
+                      "log_phi run as plain Python", RuntimeWarning, stacklevel=3)
         return None
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -100,6 +108,8 @@ def _library():
     lib.localgd_gf_numeric_margin.argtypes = (
         [n, f64, f64, f64, x, f64, x, n, n, n, n] + [f64] * 4 + [i64, f64])
     lib.localgd_gf_numeric_margin.restype = n
+    lib.localgd_log_phi.argtypes = (x, x)
+    lib.localgd_log_phi.restype = x
     return lib
 
 

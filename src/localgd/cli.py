@@ -261,7 +261,8 @@ def _envelope_block(dataset, args, config):
     return out
 
 
-def _summary_doc(args, config, dataset, traces, diverged_at, checks):
+def _summary_doc(args, config, dataset, traces, diverged_at, checks, averaged):
+    """The summary JSON; ``averaged`` is a finished uniform-average run's averaged iterate."""
     return {
         "artifact": {"name": "localgd", "version": __version__},
         "command": args.command,
@@ -282,6 +283,7 @@ def _summary_doc(args, config, dataset, traces, diverged_at, checks):
             "divergence_round": diverged_at,
             "final_loss": traces[-1].global_loss if traces else None,
             "final_grad_norm": traces[-1].grad_norm if traces else None,
+            **({} if averaged is None else {"averaged_weights": averaged}),
         },
         "envelopes": _envelope_block(dataset, args, config) if diverged_at is None else {},
         "checks": [r.to_dict() for r in checks],
@@ -295,13 +297,15 @@ def _cmd_run(args, dataset=None):
     config = _run_config(args)
     runner = {"local-gd": optim.run_local_gd, "two-stage": optim.run_two_stage,
               "local-gf": optim.run_local_gf}[args.optimizer]
-    diverged_at, checks = None, []
+    diverged_at, checks, averaged = None, [], None
     try:
         result = runner(dataset, config)
     except DivergenceError as err:
         diverged_at, traces = err.round_index, err.traces
     else:
         traces = result.traces
+        if config.averaging == "uniform_average":
+            averaged = result.averaged_weights
         if args.checks:
             checks = diagnostics.check_run(result, dataset, checks=args.checks)
 
@@ -311,7 +315,8 @@ def _cmd_run(args, dataset=None):
         meta = _csv_meta_line(config, dataset.file_fingerprint, args.seed)
         _write_csv(base + ".csv", traces, dataset.M, meta=meta)
     if "json" in args.emit:
-        write_json(base + ".json", _summary_doc(args, config, dataset, traces, diverged_at, checks))
+        write_json(base + ".json",
+                   _summary_doc(args, config, dataset, traces, diverged_at, checks, averaged))
     if diverged_at is not None:
         print(f"divergence at round {diverged_at}; partial traces written", file=sys.stderr)
         return EXIT_DIVERGENCE

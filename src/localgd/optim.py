@@ -426,7 +426,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
             return w_next, None
 
         def lyap():
-            return (state.lyapunov, list(map(float, state.rho)), list(map(float, state.a)))
+            return (state.lyapunov, state.rho.tolist(), state.a.tolist())
 
         traces, final = _round_loop(dataset, w, config, eta, step, lyap)
     elif n1:

@@ -12,11 +12,13 @@ rate constants of two-client runs are built on it.
 
 from __future__ import annotations
 
+import ctypes
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DegenerateGeometryError, DomainError
 
 __all__ = [
@@ -30,6 +32,13 @@ __all__ = [
 ]
 
 _NEWTON_STALL = 50
+
+# log_phi's calls after which a process solves in C. A Python call costs about
+# as much as 16 Python local steps, so this many calls take about as long as a
+# cold build of the library, as _kernels.C_MIN_WORK local steps do.
+_C_MIN_CALLS = _kernels.C_MIN_WORK // 16
+_python_calls = 0  # log_phi's calls so far, counted up to _C_MIN_CALLS
+_c_log_phi = None  # the C port, once the process uses it
 
 
 def _stalled_iterate(i, new, old):
@@ -60,7 +69,34 @@ def log_phi(b: float, x: float) -> float:
     a two-cycle hands bisection at once the iterate the 50th step would
     hold, and bisection stops once its midpoint equals an endpoint. Longer
     cycles are rarer (about 1 in 200 fallbacks) and still run all 50 steps.
+
+    The solve has two backends that give the same bits: the Python body
+    ``_log_phi``, which is the reference, and its C port ``localgd_log_phi``
+    in ``_kernels.c``, which calls the same libm functions as ``math`` in the
+    same order (see that file's header). A process runs the Python body for
+    its first ``_C_MIN_CALLS`` calls, then asks ``_kernels._library()`` once;
+    from then on every call goes to C, or, where the library cannot be had,
+    stays in Python. A NaN from the C port, which it returns wherever the
+    Python body raises, sends the call to the Python body, which raises.
     """
+    global _python_calls, _c_log_phi
+    if _c_log_phi is not None:
+        try:
+            L = _c_log_phi(b, x)
+        except ctypes.ArgumentError:  # not a number ctypes converts: float() decides
+            L = math.nan
+        if L == L:
+            return L
+    elif _python_calls < _C_MIN_CALLS:
+        _python_calls += 1
+        if _python_calls == _C_MIN_CALLS:
+            lib = _kernels._library()
+            _c_log_phi = None if lib is None else lib.localgd_log_phi
+    return _log_phi(b, x)
+
+
+def _log_phi(b, x):
+    """The Python body of log_phi, and the reference its C port reproduces."""
     b = float(b)
     x = float(x)
     if not 0.0 <= b < math.inf:
@@ -187,16 +223,13 @@ def gf_round(state: GfState, etaK: float) -> GfState:
     losses at the current state; surrogates and the Lyapunov value are then
     recomputed. Valid for any number of clients with one sample each.
     """
-    rho = np.array(
-        [surrogate_loss(g, etaK, ai) for g, ai in zip(state.gammas, state.a)]
-    )
-    a_next = state.a + (state.gram @ rho) / len(state.gammas)
+    gammas = state.gammas.tolist()
+    rho = [surrogate_loss(g, etaK, ai) for g, ai in zip(gammas, state.a.tolist())]
+    a_next = state.a + (state.gram @ rho) / len(gammas)
     rho_next = np.array(
-        [surrogate_loss(g, etaK, ai) for g, ai in zip(state.gammas, a_next)]
+        [surrogate_loss(g, etaK, ai) for g, ai in zip(gammas, a_next.tolist())]
     )
-    return replace(
-        state, a=a_next, rho=rho_next, lyapunov=float(rho_next.max())
-    )
+    return GfState(state.gammas, state.gram, a_next, rho_next, float(rho_next.max()))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,28 @@ class TestRun:
         assert (tmp_path / "a/r.csv").read_bytes() == (tmp_path / "b/r.csv").read_bytes()
         assert (tmp_path / "a/r.json").read_bytes() == (tmp_path / "b/r.json").read_bytes()
 
+    @pytest.mark.parametrize("engine", ("numpy", "margin"))
+    def test_uniform_average_summary_holds_the_average(self, synthetic_file, tmp_path, engine):
+        from localgd.data import load_dataset
+
+        flags = ["--engine", engine, "--eta", "2", "--K", "4", "--R", "30"]
+        docs = {}
+        for averaging in optim.AVERAGING_MODES:
+            cli.main(["run", "--dataset", str(synthetic_file), *flags, "--averaging", averaging,
+                      "--out-dir", str(tmp_path), "--name", averaging])
+            docs[averaging] = json.loads((tmp_path / f"{averaging}.json").read_text())
+        want = optim.run_local_gd(load_dataset(synthetic_file), optim.RunConfig(
+            R=30, K=4, eta=2.0, engine=engine, averaging="uniform_average")).averaged_weights
+        assert docs["uniform_average"]["result"]["averaged_weights"] == want.tolist()
+        assert "averaged_weights" not in docs["final_iterate"]["result"]
+        # a run that diverges has no average to write
+        assert cli.main([
+            "run", "--dataset", str(synthetic_file), "--engine", engine, "--eta", "1e300",
+            "--K", "2", "--R", "10", "--averaging", "uniform_average",
+            "--out-dir", str(tmp_path), "--name", "diverged"]) == cli.EXIT_DIVERGENCE
+        assert "averaged_weights" not in json.loads(
+            (tmp_path / "diverged.json").read_text())["result"]
+
     def test_single_step_matches_reference_gd_column(self, synthetic_file, tmp_path):
         # K=1 run and an explicitly-coded GD loop produce identical F columns
         from localgd import losses

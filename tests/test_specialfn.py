@@ -1,4 +1,7 @@
+import contextlib
 import math
+import pathlib
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,10 +9,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgd import specialfn
+from localgd import _kernels, cli, specialfn
 from localgd.data import SyntheticSpec, gen_synthetic
 from localgd.errors import DegenerateGeometryError, DomainError
 from localgd.optim import RunConfig, run_local_gf
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+@contextlib.contextmanager
+def _log_phi_on(backend):
+    """Send every log_phi call to ``backend`` ("c" or "python"), whatever the
+    process's call count; the count and the backend are restored on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        port = None
+        if backend == "c":
+            if _kernels._library() is None:
+                pytest.skip("the C kernels cannot be built here")
+            port = _kernels._library().localgd_log_phi
+        mp.setattr(specialfn, "_python_calls", specialfn._C_MIN_CALLS)
+        mp.setattr(specialfn, "_c_log_phi", port)
+        yield
+
+
+# the Python leg first, so it runs even where the C leg skips
+BACKENDS = ("python", "c")
+
+
+def _backends():
+    """The log_phi backends this machine has, for tests that check each in one body."""
+    return BACKENDS if _kernels._library() is not None else ("python",)
 
 
 def bisect_w_plus_logw(target, tol=1e-15):
@@ -277,16 +306,23 @@ class _CountingMath:
 
 
 class TestSolverEarlyExits:
+    # the two bitwise tests check every log_phi backend the machine has
     @given(st.floats(1e-12, 1e4), st.floats(-50, 50))
     @settings(max_examples=2000, deadline=None)
     def test_log_phi_bitwise_equal_to_reference(self, b, x):
-        assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex()
+        want = _ref_log_phi(b, x).hex()
+        for backend in _backends():
+            with _log_phi_on(backend):
+                assert specialfn.log_phi(b, x).hex() == want, backend
 
     def test_bitwise_equal_on_seeded_inputs(self, rng):
-        for b, x in [*LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE]:
-            assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex(), (b, x)
-        for b, x in zip(10.0 ** rng.uniform(-12, 4, 20000), rng.uniform(-50, 50, 20000)):
-            assert specialfn.log_phi(b, x).hex() == _ref_log_phi(b, x).hex(), (b, x)
+        inputs = [*LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE,
+                  *zip(10.0 ** rng.uniform(-12, 4, 20000), rng.uniform(-50, 50, 20000))]
+        want = [_ref_log_phi(b, x).hex() for b, x in inputs]
+        for backend in _backends():
+            with _log_phi_on(backend):
+                got = [specialfn.log_phi(b, x).hex() for b, x in inputs]
+            assert got == want, backend
 
     @pytest.mark.parametrize("solver, bisection, args, counted", [
         *[("log_phi", "_bisect_log_phi", args, "expm1") for args in LOG_PHI_TWO_CYCLES],
@@ -294,17 +330,119 @@ class TestSolverEarlyExits:
     def test_cycling_input_skips_dead_iterations(self, solver, bisection, args, counted,
                                                  monkeypatch):
         # the reference spends 50 Newton steps and 200 halvings on these,
-        # each evaluating the counted function once
+        # each evaluating the counted function once. Pinned to the Python body
+        # it counts in: past log_phi's call threshold, which earlier tests may
+        # have crossed, a process solves in C
         counting, bisected = _CountingMath(), []
         real_bisection = getattr(specialfn, bisection)
         monkeypatch.setattr(specialfn, "math", counting)
         monkeypatch.setattr(specialfn, bisection,
                             lambda *a: bisected.append(a) or real_bisection(*a))
-        got = getattr(specialfn, solver)(*args)
+        with _log_phi_on("python"):
+            got = getattr(specialfn, solver)(*args)
         monkeypatch.undo()
         assert got.hex() == _ref_log_phi(*args).hex()
         assert len(bisected) == 1
         assert counting.calls[counted] < 100
+
+
+# (b, x) at the edges of log_phi's domain: the smallest subnormal b, |x| at its
+# bound, roots past exp's overflow threshold (large b, very negative x), where
+# the solve takes its overflow branch, and Newton's two- and three-cycles
+LOG_PHI_EDGES = [
+    *[(5e-324, x) for x in (0.0, 700.0, -700.0)],
+    (1e-300, 700.0), (2.5, 700.0), (2.5, -700.0),
+    (1e10, -690.0), (2e4, -700.0), (1e300, -700.0), (1.7976931348623157e308, -1.0),
+    (1.7976931348623157e308, -700.0), (1.7976931348623157e308, 700.0),
+    *LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE,
+]
+
+
+class TestLogPhiBackends:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_edges_match_the_python_body(self, backend):
+        with _log_phi_on(backend):
+            got = [specialfn.log_phi(b, x).hex() for b, x in LOG_PHI_EDGES]
+        assert got == [specialfn._log_phi(b, x).hex() for b, x in LOG_PHI_EDGES]
+        assert any(float.fromhex(v) > 709.79 for v in got)  # the overflow branch ran
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_invalid_arguments_raise_as_in_python(self, backend):
+        with _log_phi_on(backend):
+            for b in (-0.5, math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    specialfn.log_phi(b, 0.0)
+            for x in (701.0, -701.0, math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    specialfn.log_phi(1.0, x)
+            # arguments that are not floats; ctypes cannot convert the string
+            assert specialfn.log_phi("2.5", np.float32(0.5)) == specialfn._log_phi(2.5, 0.5)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exact_flow_rewrites_its_golden_csv(self, backend, tmp_path):
+        with _log_phi_on(backend):
+            assert cli.main([
+                "run", "--dataset", str(DATA_DIR / "golden_synthetic.json"), "--optimizer",
+                "local-gf", "--eta", "1", "--K", "2", "--R", "12",
+                "--out-dir", str(tmp_path), "--name", "golden"]) == 0
+        assert (tmp_path / "golden.csv").read_bytes() == \
+            (DATA_DIR / "golden_gf_exact.csv").read_bytes()
+
+
+@pytest.fixture
+def fresh_count(monkeypatch):
+    """log_phi as in a process that has made no call: Python, no call counted."""
+    monkeypatch.setattr(specialfn, "_python_calls", 0)
+    monkeypatch.setattr(specialfn, "_c_log_phi", None)
+
+
+class TestLogPhiSwitch:
+    def test_threshold_derives_from_the_kernels_work_threshold(self):
+        assert specialfn._C_MIN_CALLS == _kernels.C_MIN_WORK // 16 == 16384
+
+    def test_calls_below_the_threshold_never_load_the_library(self, fresh_count, monkeypatch):
+        def unreachable():
+            raise AssertionError("log_phi reached the C library below its threshold")
+
+        monkeypatch.setattr(_kernels, "_library", unreachable)
+        # the golden exact flow: 12 rounds of 4 calls, and 2 at its start
+        run_local_gf(gen_synthetic(SyntheticSpec(delta=0.1, g=5.0)),
+                     RunConfig(R=12, K=2, eta=1.0, gf_method="exact"))
+        assert specialfn._python_calls == 50
+        for _ in range(specialfn._C_MIN_CALLS - specialfn._python_calls - 1):
+            specialfn.log_phi(2.0, 0.5)
+        assert specialfn._c_log_phi is None
+
+    def test_crossing_the_threshold_loads_the_library_once(self, fresh_count, monkeypatch):
+        if _kernels._library() is None:
+            pytest.skip("the C kernels cannot be built here")
+        asked, in_python = [], []
+        library, body = _kernels._library, specialfn._log_phi
+        monkeypatch.setattr(_kernels, "_library", lambda: asked.append(1) or library())
+        monkeypatch.setattr(specialfn, "_log_phi",
+                            lambda b, x: in_python.append(1) or body(b, x))
+        inputs = [(2.0, 0.5 + k * 1e-6) for k in range(specialfn._C_MIN_CALLS + 100)]
+        got = [specialfn.log_phi(b, x).hex() for b, x in inputs]
+        assert len(asked) == 1
+        assert len(in_python) == specialfn._C_MIN_CALLS  # the last of them asked
+        assert got == [body(b, x).hex() for b, x in inputs]
+
+    def test_without_a_compiler_calls_stay_python_and_warn_once(self, fresh_count, monkeypatch,
+                                                               tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_kernels, "_CC", "localgd-no-such-compiler")
+        monkeypatch.setattr(specialfn, "_python_calls", specialfn._C_MIN_CALLS - 1)
+        _kernels._library.cache_clear()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = [specialfn.log_phi(b, x).hex() for b, x in LOG_PHI_EDGES]
+        finally:
+            _kernels._library.cache_clear()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "log_phi" in str(caught[0].message)
+        assert specialfn._c_log_phi is None
+        assert got == [specialfn._log_phi(b, x).hex() for b, x in LOG_PHI_EDGES]
 
 
 class TestSurrogateAndFlow:
