@@ -13,13 +13,13 @@ first unused slot, which a run that finishes does not have.
 
 Each kernel has two backends that agree bitwise:
 
-* C: ``_kernels.c`` in this package, compiled with the system ``cc`` on the
-  first run large enough to repay the build (``C_MIN_WORK``), cached under
+* C: ``_kernels.c`` in this package, compiled with the system ``cc`` when the
+  process switches to C (``_c_library``), cached under
   ``$XDG_CACHE_HOME/localgd`` (``~/.cache/localgd``) and loaded with ctypes;
 * Python: the ``_*_core`` bodies below, each a per-client step inside the one
   round loop ``_rounds``, on lists of Python floats. They are the reference
-  the C port is tested against, and run below ``C_MIN_WORK`` and wherever the
-  library cannot be built (with one RuntimeWarning per process).
+  the C port is tested against, and run until the process switches to C and
+  wherever the library cannot be built (with one RuntimeWarning per process).
 
 They agree client by client: each client's chain of local steps (or RK4
 substeps) performs the same IEEE double operations in the same order on both,
@@ -33,8 +33,8 @@ The library also holds ``localgd_log_phi``, the C port of ``specialfn``'s
 body by construction: it calls the libm functions behind ``math.exp``,
 ``expm1``, ``log1p`` and ``log`` in the same order on the same doubles, takes
 the overflow branch where ``math`` would raise OverflowError, and returns NaN
-where the Python body raises (see the header of ``_kernels.c``). ``specialfn``
-switches a process to it after ``C_MIN_WORK // 16`` calls.
+where the Python body raises (see the header of ``_kernels.c``). ``log_phi``
+switches to it by the kernels' rule.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ from pathlib import Path
 
 import numpy as np
 
-# Scalar steps (local GD: M*K*rounds; flow: M*rounds*substeps RK4 steps) from
-# which a run goes to C. A cold build of the library takes about as long as
-# this many Python steps, so no run pays more than twice its Python time.
+# Python scalar steps (local GD: M*K*rounds; flow: M*rounds*substeps; log_phi:
+# 16 a solve) after which a process runs C: a cold build of the library takes
+# about as long, so no process pays more than twice its Python time.
 C_MIN_WORK = 1 << 18
+_python_steps = 0  # this process's, counted until they reach C_MIN_WORK
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CC = "cc"
@@ -82,14 +83,12 @@ def _build(cc, out):
 def _library():
     """The compiled kernels as a ctypes library, or None (with a warning) if it cannot be had."""
     cc = shutil.which(_CC)
-    if cc is None:
-        warnings.warn(f"no C compiler ({_CC!r} not on PATH); the margin kernels and log_phi "
-                      "run as plain Python", RuntimeWarning, stacklevel=3)
-        return None
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "localgd"
     import ctypes
 
     try:
+        if cc is None:
+            raise OSError(f"no C compiler: {_CC!r} is not on PATH")
         key = sha256(_SOURCE.read_bytes() + "\0".join((cc, *_CFLAGS)).encode()).hexdigest()
         path = cache / f"kernels-{key[:16]}.so"
         if not path.exists():
@@ -97,7 +96,7 @@ def _library():
         lib = ctypes.CDLL(str(path))
     except OSError as err:
         warnings.warn(f"could not build the C kernels ({err}); the margin kernels and "
-                      "log_phi run as plain Python", RuntimeWarning, stacklevel=3)
+                      "log_phi run as plain Python", RuntimeWarning, stacklevel=4)
         return None
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -111,6 +110,16 @@ def _library():
     lib.localgd_log_phi.argtypes = (x, x)
     lib.localgd_log_phi.restype = x
     return lib
+
+
+def _c_library(steps):
+    """``_library()`` once this process's Python steps and ``steps`` reach C_MIN_WORK, else None."""
+    global _python_steps
+    if _python_steps < C_MIN_WORK:
+        _python_steps += steps
+        if _python_steps < C_MIN_WORK:
+            return None
+    return _library()
 
 
 def _trace_slots(rounds, stride):
@@ -229,7 +238,7 @@ def local_gd_margin(gammas, G, a0, w0_sq, eta, K, rounds, stride=1):
     the within-round partial sums needed for uniform iterate averaging.
     """
     M, eta, K, rounds, stride = len(gammas), float(eta), int(K), int(rounds), int(stride)
-    lib = _library() if M * K * rounds >= C_MIN_WORK else None
+    lib = _c_library(M * K * rounds)
     start, work, hist = _kernel_args(
         lib is not None, _trace_slots(rounds, stride), 4, gammas, G, a0, w0_sq)
     if lib is None:
@@ -303,7 +312,7 @@ def gf_numeric_margin(gammas, G, a0, w0_sq, eta, K, rounds, substeps, stride=1):
     """
     M, eta, K, rounds = len(gammas), float(eta), int(K), int(rounds)
     substeps, stride = int(substeps), int(stride)
-    lib = _library() if M * rounds * substeps >= C_MIN_WORK else None
+    lib = _c_library(M * rounds * substeps)
     start, work, hist = _kernel_args(
         lib is not None, _trace_slots(rounds, stride), 2, gammas, G, a0, w0_sq)
     if lib is None:

@@ -262,14 +262,14 @@ def _envelope_block(dataset, args, config):
 
 
 def _summary_doc(args, config, dataset, traces, diverged_at, checks, averaged):
-    """The summary JSON; ``averaged`` is a finished uniform-average run's averaged iterate."""
+    """The summary JSON; ``averaged`` is a finished run's averaged iterate, if it has one."""
     return {
         "artifact": {"name": "localgd", "version": __version__},
         "command": args.command,
         "config": {
             "optimizer": args.optimizer,
             "policy": args.policy,
-            **{k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(config).items()},
+            **asdict(config),
         },
         "dataset": {
             "path": str(args.dataset),
@@ -303,9 +303,7 @@ def _cmd_run(args, dataset=None):
     except DivergenceError as err:
         diverged_at, traces = err.round_index, err.traces
     else:
-        traces = result.traces
-        if config.averaging == "uniform_average":
-            averaged = result.averaged_weights
+        traces, averaged = result.traces, result.averaged_weights
         if args.checks:
             checks = diagnostics.check_run(result, dataset, checks=args.checks)
 

@@ -114,7 +114,7 @@ class RoundTrace:
 
 @dataclass
 class RunResult:
-    """Traces plus final (and optionally averaged) weights of one run.
+    """Traces plus final (and, for uniform-average local GD, averaged) weights of one run.
 
     ``optimizer`` records which runner produced the result; descent-rate
     checks that only apply to the discrete-step family consult it.
@@ -164,8 +164,8 @@ def _append_trace(traces, dataset, w, r, eta, lyap=None):
 def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
     """One local-GD round from w_bar: K full-gradient steps per client, averaged.
 
-    rep is w_bar's ObjectiveReport, or None. Returns (w_next, finals, drift,
-    bias, iterate_sum), reduced in ascending client order. Per client, drift is
+    rep is w_bar's ObjectiveReport, or None. Returns (w_next, drift, bias,
+    iterate_sum), reduced in ascending client order. Per client, drift is
     max_k ||w_k - w_bar|| and bias max_k ||grad(w_k) - grad(w_bar)|| over
     k = 1..K (0.0 unless collect; only the bias needs grad(w_K)). iterate_sum
     adds up all clients' iterates w_0..w_{K-1} (None unless sums).
@@ -193,7 +193,7 @@ def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
         finals.append(w)
         if sums:
             iterate_sum = iterate_sum + client_sum
-    return sum(finals, np.zeros_like(w_bar)) / dataset.M, finals, drift, bias, iterate_sum
+    return sum(finals, np.zeros_like(w_bar)) / dataset.M, drift, bias, iterate_sum
 
 
 def _round_loop(dataset, w, config, eta, step, lyap=None):
@@ -245,7 +245,7 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
         nonlocal avg_acc
         # drift and bias are stored only on traces, so only traced rounds collect them
         collect = config.track_bounds and rep is not None
-        w_next, _finals, drift, bias, iterate_sum = _gd_round(
+        w_next, drift, bias, iterate_sum = _gd_round(
             dataset, w, rep, config.K, eta, collect, uniform)
         if uniform:
             avg_acc = avg_acc + iterate_sum / dataset.M
@@ -307,6 +307,8 @@ def run_two_stage(dataset, config: RunConfig) -> RunResult:
     """
     if config.eta1 is None or config.eta2 is None or config.r0 is None:
         raise ValueError("run_two_stage requires config.eta1, eta2 and r0")
+    if config.averaging != "final_iterate":
+        raise ValueError("run_two_stage returns its last iterate; averaging must be final_iterate")
     if not 0 <= config.r0 <= config.R:
         raise ValueError(f"r0 must lie in [0, R], got {config.r0}")
     if config.eta2 > 4.0:
@@ -329,13 +331,7 @@ def run_two_stage(dataset, config: RunConfig) -> RunResult:
         w_hat1 = w0
 
     if r0 < R:
-        stage2_cfg = replace(
-            config,
-            R=R - r0,
-            eta=config.eta2,
-            averaging="final_iterate",
-            w0=tuple(w_hat1),
-        )
+        stage2_cfg = replace(config, R=R - r0, eta=config.eta2, w0=tuple(w_hat1))
         try:
             res2 = run_local_gd(dataset, stage2_cfg)
         except DivergenceError as err:
@@ -355,7 +351,7 @@ def run_two_stage(dataset, config: RunConfig) -> RunResult:
     return RunResult(
         traces=traces,
         final_weights=final,
-        averaged_weights=final.copy(),
+        averaged_weights=None,
         config=config,
         optimizer="two-stage",
     )
@@ -397,6 +393,8 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
         raise ValueError("run_local_gf requires config.eta")
     if config.eta <= 0:
         raise ValueError(f"eta must be positive, got {config.eta}")
+    if config.averaging != "final_iterate":
+        raise ValueError("run_local_gf has no iterate average; averaging must be final_iterate")
     eta = config.eta
     etaK = eta * config.K
     if not math.isfinite(etaK):  # no surrogate losses exist: refused before round 0

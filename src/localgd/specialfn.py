@@ -32,13 +32,7 @@ __all__ = [
 ]
 
 _NEWTON_STALL = 50
-
-# log_phi's calls after which a process solves in C. A Python call costs about
-# as much as 16 Python local steps, so this many calls take about as long as a
-# cold build of the library, as _kernels.C_MIN_WORK local steps do.
-_C_MIN_CALLS = _kernels.C_MIN_WORK // 16
-_python_calls = 0  # log_phi's calls so far, counted up to _C_MIN_CALLS
-_c_log_phi = None  # the C port, once the process uses it
+_c_log_phi = None  # the C port, once _kernels has switched the process to C
 
 
 def _stalled_iterate(i, new, old):
@@ -73,25 +67,23 @@ def log_phi(b: float, x: float) -> float:
     The solve has two backends that give the same bits: the Python body
     ``_log_phi``, which is the reference, and its C port ``localgd_log_phi``
     in ``_kernels.c``, which calls the same libm functions as ``math`` in the
-    same order (see that file's header). A process runs the Python body for
-    its first ``_C_MIN_CALLS`` calls, then asks ``_kernels._library()`` once;
-    from then on every call goes to C, or, where the library cannot be had,
-    stays in Python. A NaN from the C port, which it returns wherever the
-    Python body raises, sends the call to the Python body, which raises.
+    same order (see that file's header). Calls run where ``_kernels._c_library``
+    puts 16 scalar steps, and all go to C once it has. A NaN from the C port,
+    which it returns wherever the Python body raises, sends the call to the
+    Python body, which raises.
     """
-    global _python_calls, _c_log_phi
-    if _c_log_phi is not None:
-        try:
-            L = _c_log_phi(b, x)
-        except ctypes.ArgumentError:  # not a number ctypes converts: float() decides
-            L = math.nan
-        if L == L:
-            return L
-    elif _python_calls < _C_MIN_CALLS:
-        _python_calls += 1
-        if _python_calls == _C_MIN_CALLS:
-            lib = _kernels._library()
-            _c_log_phi = None if lib is None else lib.localgd_log_phi
+    global _c_log_phi
+    if _c_log_phi is None:
+        lib = _kernels._c_library(16)
+        if lib is None:
+            return _log_phi(b, x)
+        _c_log_phi = lib.localgd_log_phi
+    try:
+        L = _c_log_phi(b, x)
+    except ctypes.ArgumentError:  # not a number ctypes converts: float() decides
+        L = math.nan
+    if L == L:
+        return L
     return _log_phi(b, x)
 
 

@@ -1,8 +1,9 @@
 """The byte battery: CLI commands whose exit codes and artifact bytes are pinned.
 
 Each command runs in-process through ``cli.main`` in one working directory
-that starts with copies of the datasets below, with relative paths only, so
-no recorded byte depends on where the directory lies. A command's artifacts
+that starts with copies of the datasets below, the config files and the IDX
+pair that ``prepare`` writes, with relative paths only, so no recorded byte
+depends on where the directory lies. A command's artifacts
 are the files it creates or changes there, plus its stdout; each is pinned by
 its SHA-256 in ``data/battery.json``. Commands run in the listed order, so a
 ``check`` can read the summary an earlier ``run`` wrote.
@@ -22,6 +23,7 @@ import json
 import os
 import pathlib
 import shutil
+import struct
 import sys
 import tempfile
 
@@ -31,6 +33,13 @@ DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 MANIFEST = DATA_DIR / "battery.json"
 SYN = "golden_synthetic.json"
 MULTI = "golden_multi_sample.json"
+IMAGES, LABELS = "images-idx3-ubyte", "labels-idx1-ubyte"
+# --config files: a run's R and eta, and a sweep whose grids are JSON lists
+CONFIGS = {
+    "run_config.json": {"R": 30, "eta": 2},
+    "sweep_config.json": {"optimizer": "local-gd", "eta": 1.5, "R": 12, "K_grid": [1, 3],
+                          "policy_grid": ["explicit", "small"], "checks": ["stable-rate"]},
+}
 
 
 def _run(out, *flags, dataset=SYN, name="run"):
@@ -41,8 +50,10 @@ _SWEEP = ["sweep", "--dataset", SYN, "--optimizer", "local-gd", "--K-grid", "1,4
           "--policy-grid", "small,large,explicit", "--eta", "2", "--R", "12",
           "--checks", "stable-rate"]
 
-# (argv, environment entries); the margin runs stay below _kernels.C_MIN_WORK
-# scalar steps, so they run the Python bodies, except where noted
+# (argv, environment entries). A process runs the margin kernels and log_phi in
+# Python until the scalar steps it has run reach _kernels.C_MIN_WORK, then in C;
+# in a fresh process the commands before ``lgd_c`` run Python and most after it
+# C. Both give the same bytes, which test_battery also checks with no compiler.
 COMMANDS = [
     (["gen-data", "synthetic", "--delta", "0.1", "--g", "5", "--out", "syn.json"], {}),
     (["gen-data", "synthetic", "--delta", "0.5", "--g", "2", "--out", "syn2.json"], {}),
@@ -70,7 +81,7 @@ COMMANDS = [
           dataset="syn2.json", name="syn2"), {}),
     (_run("margin", "--engine", "margin", "--eta", "6", "--K", "5", "--R", "50",
           "--trace-every", "3", dataset="close.json", name="close"), {}),
-    # at or above C_MIN_WORK: the C kernel, where it builds
+    # at or above C_MIN_WORK on its own: from here on the process runs C, where it builds
     (_run("margin", "--engine", "margin", "--eta", "4", "--K", "4", "--R", "40000",
           "--trace-every", "997", name="lgd_c"), {}),
     # the numpy engine
@@ -156,6 +167,33 @@ COMMANDS = [
     # tau is infinite on this geometry, so no round is past it: exit 1
     (["envelope", "--kind", "gf", "--dataset", SYN, "--eta", "1", "--K", "4",
       "--r", "5000"], {}),
+    # --config: the file supplies R and eta, a flag on the command line beats its eta,
+    # the --config=path spelling, and list entries for a sweep's grids
+    (_run("config", "--config", "run_config.json", "--engine", "margin", "--K", "4",
+          name="file"), {}),
+    (_run("config", "--config", "run_config.json", "--engine", "margin", "--K", "4",
+          "--eta", "0.5", name="flag"), {}),
+    (_run("config", "--config=run_config.json", "--optimizer", "local-gf", "--K", "2",
+          name="equals"), {}),
+    (["sweep", "--dataset", SYN, "--config", "sweep_config.json", "--out-dir", "sweep_config"],
+     {"LOCALGD_THREADS": "1"}),
+    # gen-data mnist on the IDX pair prepare writes, and a run on its split
+    (["gen-data", "mnist", "--images", IMAGES, "--labels", LABELS, "--M", "2", "--n", "6",
+      "--s", "0.34", "--seed", "3", "--out", "mnist.json"], {}),
+    (_run("mnist", "--eta", "1", "--K", "2", "--R", "10", "--checks", "drift,stable-rate",
+          dataset="mnist.json"), {}),
+    # a genuine check violation, exit 3: one RK4 step for each round's K = 4 time units at
+    # eta 20 overshoots the flow, and the Lyapunov value rises; in a sweep, the K = 4 cell
+    (_run("violation", "--optimizer", "local-gf", "--gf-method", "numeric", "--gf-substeps",
+          "1", "--eta", "20", "--K", "4", "--R", "20", "--checks", "lyapunov"), {}),
+    (["sweep", "--dataset", SYN, "--optimizer", "local-gf", "--gf-method", "numeric",
+      "--gf-substeps", "1", "--eta", "20", "--K-grid", "1,4", "--R", "20",
+      "--checks", "lyapunov", "--out-dir", "sweep_violation"], {"LOCALGD_THREADS": "1"}),
+    # --averaging uniform_average where a run has no average: exit 1
+    (_run("refused", "--optimizer", "two-stage", "--eta1", "2", "--eta2", "1", "--r0", "3",
+          "--K", "2", "--R", "6", "--averaging", "uniform_average"), {}),
+    (_run("refused", "--optimizer", "local-gf", "--eta", "1", "--K", "2", "--R", "6",
+          "--averaging", "uniform_average"), {}),
 ]
 
 
@@ -191,10 +229,27 @@ def run_command(argv, env, root):
     return code, artifacts
 
 
+def _idx_pair(n=24):
+    """IDX image and label bytes of ``n`` 1 x 2 images of digits 0-9: an even digit's
+    first pixel is the brighter, an odd digit's the second, so the split is separable."""
+    labels = [k % 10 for k in range(n)]
+    pixels = []
+    for k, digit in enumerate(labels):
+        bright, dim = 150 + 7 * k % 100, 11 * k % 120
+        pixels += (bright, dim) if digit % 2 == 0 else (dim, bright)
+    return (struct.pack(">IIII", 0x803, n, 1, 2) + bytes(pixels),
+            struct.pack(">II", 0x801, n) + bytes(labels))
+
+
 def prepare(root):
-    """Copy the battery's input datasets into the empty directory ``root``."""
+    """Write the battery's inputs into the empty directory ``root``: copies of the
+    datasets, the config files and the IDX pair."""
     for name in (SYN, MULTI):
         shutil.copyfile(DATA_DIR / name, root / name)
+    for name, entries in CONFIGS.items():
+        (root / name).write_text(json.dumps(entries))
+    for name, data in zip((IMAGES, LABELS), _idx_pair()):
+        (root / name).write_bytes(data)
 
 
 def main():

@@ -1,7 +1,10 @@
+import contextlib
+import math
+
 import numpy as np
 import pytest
 
-from localgd import data
+from localgd import _kernels, data, specialfn
 from localgd.data import FederatedDataset, RawSample, prepare
 
 
@@ -47,3 +50,25 @@ def _kernel_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+@contextlib.contextmanager
+def _c_switch(backend=None, steps=0):
+    """Every margin-kernel call and log_phi solve on ``backend``, "c" (the test skips where
+    the library cannot be built) or "python"; or, with no backend, as in a process that has
+    run ``steps`` scalar steps in Python. The process's own switch is restored on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        if backend == "c" and _kernels._library() is None:
+            pytest.skip("the C kernels cannot be built here")
+        if backend is not None:
+            mp.setattr(_kernels, "C_MIN_WORK", 0 if backend == "c" else math.inf)
+        mp.setattr(_kernels, "_python_steps", steps)
+        mp.setattr(specialfn, "_c_log_phi", None)
+        yield
+
+
+@pytest.fixture(scope="session")
+def c_switch():
+    """``with c_switch("c")``, ``c_switch("python")`` or ``c_switch(steps=n)``: where the margin
+    kernels and log_phi run inside the block (see ``_c_switch``)."""
+    return _c_switch

@@ -140,6 +140,30 @@ class TestRun:
         assert "averaged_weights" not in json.loads(
             (tmp_path / "diverged.json").read_text())["result"]
 
+    def test_check_violation_exits_3_with_both_artifacts(self, synthetic_file, tmp_path,
+                                                         monkeypatch, capsys):
+        # one RK4 step for each round's K = 4 time units at eta 20 overshoots the flow, so
+        # its Lyapunov value rises: the lyapunov check fails on an honest run
+        flags = ["--dataset", str(synthetic_file), "--optimizer", "local-gf", "--gf-method",
+                 "numeric", "--gf-substeps", "1", "--eta", "20", "--R", "20",
+                 "--checks", "lyapunov"]
+        code = cli.main(["run", *flags, "--K", "4", "--out-dir", str(tmp_path), "--name", "v"])
+        assert code == cli.EXIT_VIOLATION
+        assert capsys.readouterr().err == "check violation; see summary JSON\n"
+        assert (tmp_path / "v.csv").read_text().count("\n") == 1 + 1 + 21  # meta, header
+        checks = json.loads((tmp_path / "v.json").read_text())["checks"]
+        assert [(c["name"], c["passed"]) for c in checks] == [("lyapunov-monotone", False)]
+        # a sweep cell records the same exit code, and the sweep returns it
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        sweep = tmp_path / "sweep"
+        code = cli.main(["sweep", *flags, "--K-grid", "1,4", "--out-dir", str(sweep)])
+        assert code == cli.EXIT_VIOLATION
+        cells = json.loads((sweep / "index.json").read_text())["cells"]
+        assert [(c["name"], c["exit"]) for c in cells] == [
+            ("cell_K1_explicit", cli.EXIT_OK), ("cell_K4_explicit", cli.EXIT_VIOLATION)]
+        assert (sweep / "cell_K4_explicit.json").read_bytes() == \
+            (tmp_path / "v.json").read_bytes()
+
     def test_single_step_matches_reference_gd_column(self, synthetic_file, tmp_path):
         # K=1 run and an explicitly-coded GD loop produce identical F columns
         from localgd import losses
@@ -395,7 +419,11 @@ class TestSweep:
         cases = (["--policy", "two-stage", "--K", "2"],
                  ["--eta", "1", "--K", "0"],
                  ["--optimizer", "two-stage", "--eta1", "0.2", "--eta2", "3", "--r0", "5",
-                  "--K", "2"])
+                  "--K", "2"],
+                 # runs that have no iterate average refuse to write one
+                 ["--optimizer", "two-stage", "--eta1", "0.2", "--eta2", "3", "--r0", "2",
+                  "--K", "2", "--averaging", "uniform_average"],
+                 ["--optimizer", "local-gf", "--eta", "1", "--averaging", "uniform_average"])
         for i, flags in enumerate(cases):
             common = ["--dataset", str(synthetic_file), "--R", "3", *flags]
             run_code = cli.main(["run", *common, "--out-dir", str(tmp_path / f"run{i}")])

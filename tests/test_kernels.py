@@ -3,11 +3,15 @@
 Each kernel runs as compiled C or as its plain-Python body (lists of Python
 floats). Both must reproduce, bit for bit, a plain-Python reference written
 straight from the recurrence, so a port that reorders its arithmetic fails
-here. ``_on(backend)`` sends every wrapper call to one of them.
+here. The ``c_switch`` fixture sends every wrapper call to one of them.
 """
 
-import contextlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -15,24 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgd import _kernels
+import localgd
+from localgd import _kernels, specialfn
 
 # (M, K, rounds, stride): two and three clients, a single local step, and
 # strides that do not divide the number of rounds or exceed it
 CASES = [(2, 8, 40, 1), (3, 1, 50, 7), (3, 5, 23, 1000), (2, 3, 30, 4)]
-
-
-@contextlib.contextmanager
-def _on(backend):
-    """Send every wrapper call to ``backend`` ("c" or "python") whatever its size."""
-    with pytest.MonkeyPatch.context() as mp:
-        if backend == "c":
-            if _kernels._library() is None:
-                pytest.skip("the C kernels cannot be built here")
-            mp.setattr(_kernels, "C_MIN_WORK", 0)
-        else:
-            mp.setattr(_kernels, "C_MIN_WORK", math.inf)
-        yield
 
 
 # the Python leg first, so it runs even where the C leg skips
@@ -160,7 +152,7 @@ def _assert_bitwise(got, want, case):
         assert g.tobytes() == w.astype(g.dtype).tobytes(), case
 
 
-def test_local_gd_kernel_matches_python_body(monkeypatch):
+def test_local_gd_kernel_matches_python_body(monkeypatch, c_switch):
     for backend in BACKENDS:
         for seed, (M, K, rounds, stride) in enumerate(CASES):
             case = (backend, M, K, rounds, stride)
@@ -168,7 +160,7 @@ def test_local_gd_kernel_matches_python_body(monkeypatch):
             eta = 1.7  # not a power of two, so eta * g rounds
             a0_before = a0.copy()
             seen = set()
-            with _on(backend), monkeypatch.context() as mp:
+            with c_switch(backend), monkeypatch.context() as mp:
                 _spy(mp, "_local_gd_margin_core", seen)
                 got = _kernels.local_gd_margin(gammas, G, a0, w0_sq, eta, K, rounds, stride)
             assert seen == FED[backend], case
@@ -178,7 +170,7 @@ def test_local_gd_kernel_matches_python_body(monkeypatch):
             _assert_bitwise(got, want, case)
 
 
-def test_local_gd_kernel_overflowing_step_adds_zero():
+def test_local_gd_kernel_overflowing_step_adds_zero(c_switch):
     # exp(g * a) overflows past g * a > 709: from a start that far out
     # (client 0), where local GD runs every round (the flow, whose margins
     # must stay within |g * a| <= 700, stops at round 0), and after a first
@@ -193,7 +185,7 @@ def test_local_gd_kernel_overflowing_step_adds_zero():
             lgd = _reference_local_gd(gammas, G, a0, w0_sq, eta, K, rounds, stride)
             gf = _reference_gf(gammas, G, a0, w0_sq, eta, K, rounds, substeps, stride)
         for backend in BACKENDS:
-            with _on(backend):
+            with c_switch(backend):
                 got = _kernels.local_gd_margin(gammas, G, a0, w0_sq, eta, K, rounds, stride)
                 got_gf = _kernels.gf_numeric_margin(gammas, G, a0, w0_sq, eta, K, rounds,
                                                     substeps, stride)
@@ -203,7 +195,7 @@ def test_local_gd_kernel_overflowing_step_adds_zero():
             assert (got[3], got_gf[3]) == stops, (backend, eta)
 
 
-def test_kernels_stop_at_the_first_non_finite_round():
+def test_kernels_stop_at_the_first_non_finite_round(c_switch):
     # three identical clients each step to 8.5e307, so the averaged margin
     # overflows in round 1 while C stays finite; later rounds would be NaN.
     # Round 1 is the stop round and no history slot; a non-finite ||w0||^2
@@ -215,7 +207,7 @@ def test_kernels_stop_at_the_first_non_finite_round():
             lgd = _reference_local_gd(gammas, G, a0, w0_sq, 1.7e308, 1, 10, stride)
             gf = _reference_gf(gammas, G, a0, w0_sq, 1.7e308, 1, 10, 1, stride)
         for backend in BACKENDS:
-            with _on(backend):
+            with c_switch(backend):
                 got = _kernels.local_gd_margin(gammas, G, a0, w0_sq, 1.7e308, 1, 10, stride)
                 got_gf = _kernels.gf_numeric_margin(gammas, G, a0, w0_sq, 1.7e308, 1, 10, 1,
                                                     stride)
@@ -225,7 +217,7 @@ def test_kernels_stop_at_the_first_non_finite_round():
             assert got[3] == got_gf[3] == stop, (backend, *case)
 
 
-def test_gf_kernel_matches_python_body(monkeypatch):
+def test_gf_kernel_matches_python_body(monkeypatch, c_switch):
     for backend in BACKENDS:
         for seed, (M, K, rounds, stride) in enumerate(CASES):
             substeps = 16 if K > 1 else 1
@@ -233,7 +225,7 @@ def test_gf_kernel_matches_python_body(monkeypatch):
             gammas, G, a0, w0_sq = _geometry(M, seed)
             eta = 1.3  # not a power of two, so eta * g rounds
             seen = set()
-            with _on(backend), monkeypatch.context() as mp:
+            with c_switch(backend), monkeypatch.context() as mp:
                 _spy(mp, "_gf_numeric_margin_core", seen)
                 got = _kernels.gf_numeric_margin(gammas, G, a0, w0_sq, eta, K, rounds, substeps,
                                                  stride)
@@ -243,11 +235,11 @@ def test_gf_kernel_matches_python_body(monkeypatch):
             assert got[3] is None and (got[4] > 0.0) == (substeps >= 2), case
 
 
-def _both(fn, *args):
+def _both(c_switch, fn, *args):
     """``fn(*args)`` on C and on the Python body."""
     out = []
     for backend in ("c", "python"):
-        with _on(backend):
+        with c_switch(backend):
             out.append(fn(*args))
     return out
 
@@ -262,18 +254,19 @@ _RUN = dict(
 
 @given(**_RUN)
 @settings(max_examples=60, deadline=None)
-def test_local_gd_c_matches_python(seed, M, K, rounds, stride, eta):
+def test_local_gd_c_matches_python(c_switch, seed, M, K, rounds, stride, eta):
     gammas, G, a0, w0_sq = _geometry(M, seed)
-    c, py = _both(_kernels.local_gd_margin, gammas, G, a0, w0_sq, eta, K, rounds, stride)
+    c, py = _both(c_switch, _kernels.local_gd_margin, gammas, G, a0, w0_sq, eta, K, rounds,
+                  stride)
     _assert_bitwise(c, py, (seed, M, K, rounds, stride, eta))
 
 
 @given(substeps=st.integers(1, 8), **_RUN)
 @settings(max_examples=60, deadline=None)
-def test_gf_c_matches_python(seed, M, K, rounds, stride, eta, substeps):
+def test_gf_c_matches_python(c_switch, seed, M, K, rounds, stride, eta, substeps):
     gammas, G, a0, w0_sq = _geometry(M, seed)
-    c, py = _both(_kernels.gf_numeric_margin, gammas, G, a0, w0_sq, eta, K, rounds, substeps,
-                  stride)
+    c, py = _both(c_switch, _kernels.gf_numeric_margin, gammas, G, a0, w0_sq, eta, K, rounds,
+                  substeps, stride)
     _assert_bitwise(c, py, (seed, M, K, rounds, stride, eta, substeps))
 
 
@@ -296,16 +289,18 @@ def test_library_is_built_once_into_the_cache(fresh_library):
     assert sorted(p.name for p in (fresh_library / "localgd").iterdir()) == built
 
 
-def test_without_a_compiler_the_python_body_runs_and_warns_once(fresh_library, monkeypatch):
+def test_without_a_compiler_the_python_body_runs_and_warns_once(fresh_library, monkeypatch,
+                                                                 c_switch):
     gammas, G, a0, w0_sq = _geometry(3, 0)
-    monkeypatch.setattr(_kernels, "C_MIN_WORK", math.inf)
-    want = _kernels.local_gd_margin(gammas, G, a0, w0_sq, 1.7, 4, 30, 3)
-    monkeypatch.setattr(_kernels, "C_MIN_WORK", 0)
-    # no compiler on PATH, and one that fails (``false`` exits 1 at once)
+    with c_switch("python"):
+        want = _kernels.local_gd_margin(gammas, G, a0, w0_sq, 1.7, 4, 30, 3)
+    # no compiler on PATH, and one that fails (``false`` exits 1 at once), in a process
+    # whose steps have reached C_MIN_WORK
     for cc in ("localgd-no-such-compiler", "false"):
         monkeypatch.setattr(_kernels, "_CC", cc)
         _kernels._library.cache_clear()
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, \
+                c_switch(steps=_kernels.C_MIN_WORK):
             warnings.simplefilter("always")
             for _ in range(2):
                 got = _kernels.local_gd_margin(gammas, G, a0, w0_sq, 1.7, 4, 30, 3)
@@ -314,14 +309,63 @@ def test_without_a_compiler_the_python_body_runs_and_warns_once(fresh_library, m
     assert list(fresh_library.glob("localgd/*")) == []
 
 
-def test_small_runs_never_load_the_library(monkeypatch):
+def test_small_runs_never_load_the_library(monkeypatch, c_switch):
     def unreachable():
         raise AssertionError("a run below C_MIN_WORK reached the C library")
 
     monkeypatch.setattr(_kernels, "_library", unreachable)
     gammas, G, a0, w0_sq = _geometry(2, 0)
-    _kernels.local_gd_margin(gammas, G, a0, w0_sq, 1.0, 1, 1)
-    _kernels.gf_numeric_margin(gammas, G, a0, w0_sq, 1.0, 1, 1, 8)
+    with c_switch(steps=0):
+        _kernels.local_gd_margin(gammas, G, a0, w0_sq, 1.0, 1, 1)
+        _kernels.gf_numeric_margin(gammas, G, a0, w0_sq, 1.0, 1, 1, 8)
+        assert _kernels._python_steps == 2 + 16
+
+
+def test_kernels_and_log_phi_share_one_switch(monkeypatch, c_switch):
+    # one tally: a kernel call brings the process to 1 step short of C_MIN_WORK, a
+    # log_phi solve crosses it and runs in C, and so does every later call, however small
+    if _kernels._library() is None:
+        pytest.skip("the C kernels cannot be built here")
+    asked, library = [], _kernels._library
+    monkeypatch.setattr(_kernels, "_library", lambda: asked.append(1) or library())
+    monkeypatch.setattr(specialfn, "_log_phi", lambda *_: pytest.fail("log_phi ran in Python"))
+    gammas, G, a0, w0_sq = _geometry(2, 0)
+    with c_switch(steps=_kernels.C_MIN_WORK - 17):
+        seen = set()
+        with monkeypatch.context() as mp:
+            _spy(mp, "_local_gd_margin_core", seen)
+            _spy(mp, "_gf_numeric_margin_core", seen)
+            _kernels.local_gd_margin(gammas, G, a0, w0_sq, 1.0, 8, 1)
+            assert seen == FED["python"] and not asked
+            seen.clear()
+            assert specialfn.log_phi(2.0, 0.5) == library().localgd_log_phi(2.0, 0.5)
+            assert len(asked) == 1
+            _kernels.local_gd_margin(gammas, G, a0, w0_sq, 1.0, 1, 1)
+            _kernels.gf_numeric_margin(gammas, G, a0, w0_sq, 1.0, 1, 1, 1)
+            assert seen == FED["c"] and len(asked) == 3
+        assert _kernels._python_steps == _kernels.C_MIN_WORK + 15
+
+
+def test_small_runs_in_a_fresh_process_never_ask_for_the_library():
+    # the small runs perfbench's set-up processes make (margin local GD and an exact
+    # flow, one round each) stay below C_MIN_WORK, so no set-up builds the library
+    code = textwrap.dedent("""
+        from localgd import _kernels, data, optim
+        def unreachable():
+            raise AssertionError("a process below C_MIN_WORK asked for the library")
+        _kernels._library = unreachable
+        ds = data.gen_synthetic(data.SyntheticSpec(delta=0.1, g=5.0))
+        data.compute_margin(ds)
+        optim.run_local_gd(ds, optim.RunConfig(R=1, K=1, eta=1.0, engine="margin"))
+        optim.run_local_gf(ds, optim.RunConfig(R=1, K=1, eta=1.0, gf_method="exact"))
+        print(_kernels._python_steps)
+    """)
+    src = str(pathlib.Path(localgd.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    # 2 local steps, and 6 log_phi solves of 16 steps: 2 at round 0, 4 in round 1
+    assert int(proc.stdout) == 2 + 6 * 16
 
 
 def test_trace_slots_cover_all_strides():
@@ -348,10 +392,10 @@ def test_scalar_flow_matches_full_dimensional_integrator():
     np.testing.assert_allclose(w_end, w0 + (a_end - w0 @ u) * u, atol=1e-12)
 
 
-def test_mismatched_shapes_are_rejected():
+def test_mismatched_shapes_are_rejected(c_switch):
     # the C kernels index G and a by len(gammas); a wrong shape must not reach them
     gammas, G, a0, w0_sq = _geometry(3, 0)
     for bad in ((gammas, G[:, :2], a0), (gammas, G, a0[:2]), (gammas[:2], G, a0)):
         for backend in BACKENDS:
-            with _on(backend), pytest.raises(ValueError, match="Gram matrix"):
+            with c_switch(backend), pytest.raises(ValueError, match="Gram matrix"):
                 _kernels.local_gd_margin(*bad, w0_sq, 1.0, 2, 3)

@@ -254,6 +254,14 @@ class TestRunTwoStage:
         t_r0 = next(t for t in res.traces if t.r == 5)
         assert t_r0.global_loss == losses.objective(ds, ref.averaged_weights).value
 
+    def test_carries_no_average_and_refuses_to_average(self, rng):
+        # the result's weights are stage 2's last iterate; it has no average to report
+        ds = random_dataset(rng)
+        cfg = RunConfig(R=6, K=2, eta1=0.5, eta2=2.0, r0=3)
+        assert run_two_stage(ds, cfg).averaged_weights is None
+        with pytest.raises(ValueError, match="averaging"):
+            run_two_stage(ds, replace(cfg, averaging="uniform_average"))
+
     def test_large_eta2_warns(self, rng):
         ds = random_dataset(rng)
         with pytest.warns(UserWarning, match="exceeds 4"):
@@ -280,6 +288,11 @@ class TestRunLocalGf:
         for t in res.traces:
             assert t.iterate_norm <= 1e-14
             assert t.global_loss == pytest.approx(math.log(2), abs=1e-14)
+
+    def test_refuses_to_average(self, rng):
+        for ds in (gen_synthetic(SyntheticSpec(delta=0.1, g=5)), random_dataset(rng)):
+            with pytest.raises(ValueError, match="averaging"):
+                run_local_gf(ds, RunConfig(R=2, K=1, eta=1.0, averaging="uniform_average"))
 
     def test_exact_requires_single_samples(self, rng):
         ds = random_dataset(rng, M=2, n=3, d=4)

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import pathlib
 import warnings
@@ -15,21 +14,6 @@ from localgd.errors import DegenerateGeometryError, DomainError
 from localgd.optim import RunConfig, run_local_gf
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
-
-
-@contextlib.contextmanager
-def _log_phi_on(backend):
-    """Send every log_phi call to ``backend`` ("c" or "python"), whatever the
-    process's call count; the count and the backend are restored on exit."""
-    with pytest.MonkeyPatch.context() as mp:
-        port = None
-        if backend == "c":
-            if _kernels._library() is None:
-                pytest.skip("the C kernels cannot be built here")
-            port = _kernels._library().localgd_log_phi
-        mp.setattr(specialfn, "_python_calls", specialfn._C_MIN_CALLS)
-        mp.setattr(specialfn, "_c_log_phi", port)
-        yield
 
 
 # the Python leg first, so it runs even where the C leg skips
@@ -309,18 +293,18 @@ class TestSolverEarlyExits:
     # the two bitwise tests check every log_phi backend the machine has
     @given(st.floats(1e-12, 1e4), st.floats(-50, 50))
     @settings(max_examples=2000, deadline=None)
-    def test_log_phi_bitwise_equal_to_reference(self, b, x):
+    def test_log_phi_bitwise_equal_to_reference(self, c_switch, b, x):
         want = _ref_log_phi(b, x).hex()
         for backend in _backends():
-            with _log_phi_on(backend):
+            with c_switch(backend):
                 assert specialfn.log_phi(b, x).hex() == want, backend
 
-    def test_bitwise_equal_on_seeded_inputs(self, rng):
+    def test_bitwise_equal_on_seeded_inputs(self, rng, c_switch):
         inputs = [*LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE,
                   *zip(10.0 ** rng.uniform(-12, 4, 20000), rng.uniform(-50, 50, 20000))]
         want = [_ref_log_phi(b, x).hex() for b, x in inputs]
         for backend in _backends():
-            with _log_phi_on(backend):
+            with c_switch(backend):
                 got = [specialfn.log_phi(b, x).hex() for b, x in inputs]
             assert got == want, backend
 
@@ -328,17 +312,17 @@ class TestSolverEarlyExits:
         *[("log_phi", "_bisect_log_phi", args, "expm1") for args in LOG_PHI_TWO_CYCLES],
     ])
     def test_cycling_input_skips_dead_iterations(self, solver, bisection, args, counted,
-                                                 monkeypatch):
+                                                 monkeypatch, c_switch):
         # the reference spends 50 Newton steps and 200 halvings on these,
         # each evaluating the counted function once. Pinned to the Python body
-        # it counts in: past log_phi's call threshold, which earlier tests may
-        # have crossed, a process solves in C
+        # it counts in: once earlier tests have taken the process past
+        # C_MIN_WORK, it solves in C
         counting, bisected = _CountingMath(), []
         real_bisection = getattr(specialfn, bisection)
         monkeypatch.setattr(specialfn, "math", counting)
         monkeypatch.setattr(specialfn, bisection,
                             lambda *a: bisected.append(a) or real_bisection(*a))
-        with _log_phi_on("python"):
+        with c_switch("python"):
             got = getattr(specialfn, solver)(*args)
         monkeypatch.undo()
         assert got.hex() == _ref_log_phi(*args).hex()
@@ -360,15 +344,15 @@ LOG_PHI_EDGES = [
 
 class TestLogPhiBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_edges_match_the_python_body(self, backend):
-        with _log_phi_on(backend):
+    def test_edges_match_the_python_body(self, backend, c_switch):
+        with c_switch(backend):
             got = [specialfn.log_phi(b, x).hex() for b, x in LOG_PHI_EDGES]
         assert got == [specialfn._log_phi(b, x).hex() for b, x in LOG_PHI_EDGES]
         assert any(float.fromhex(v) > 709.79 for v in got)  # the overflow branch ran
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_invalid_arguments_raise_as_in_python(self, backend):
-        with _log_phi_on(backend):
+    def test_invalid_arguments_raise_as_in_python(self, backend, c_switch):
+        with c_switch(backend):
             for b in (-0.5, math.nan, math.inf):
                 with pytest.raises(ValueError, match="finite and nonnegative"):
                     specialfn.log_phi(b, 0.0)
@@ -379,8 +363,8 @@ class TestLogPhiBackends:
             assert specialfn.log_phi("2.5", np.float32(0.5)) == specialfn._log_phi(2.5, 0.5)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exact_flow_rewrites_its_golden_csv(self, backend, tmp_path):
-        with _log_phi_on(backend):
+    def test_exact_flow_rewrites_its_golden_csv(self, backend, tmp_path, c_switch):
+        with c_switch(backend):
             assert cli.main([
                 "run", "--dataset", str(DATA_DIR / "golden_synthetic.json"), "--optimizer",
                 "local-gf", "--eta", "1", "--K", "2", "--R", "12",
@@ -389,31 +373,37 @@ class TestLogPhiBackends:
             (DATA_DIR / "golden_gf_exact.csv").read_bytes()
 
 
-@pytest.fixture
-def fresh_count(monkeypatch):
-    """log_phi as in a process that has made no call: Python, no call counted."""
-    monkeypatch.setattr(specialfn, "_python_calls", 0)
-    monkeypatch.setattr(specialfn, "_c_log_phi", None)
+# log_phi's solves before a fresh process switches to C: each counts 16 scalar steps
+_SOLVES = _kernels.C_MIN_WORK // 16
 
 
 class TestLogPhiSwitch:
-    def test_threshold_derives_from_the_kernels_work_threshold(self):
-        assert specialfn._C_MIN_CALLS == _kernels.C_MIN_WORK // 16 == 16384
+    def test_threshold_derives_from_the_kernels_work_threshold(self, c_switch, monkeypatch):
+        # each solve counts 16 steps toward C_MIN_WORK, so the 16384th switches
+        asked = []
+        monkeypatch.setattr(_kernels, "_library", lambda: asked.append(1))
+        with c_switch(steps=0):
+            for _ in range(1, _SOLVES):
+                specialfn.log_phi(2.0, 0.5)
+            assert _kernels._python_steps == 16 * (_SOLVES - 1) and not asked
+            specialfn.log_phi(2.0, 0.5)
+            assert _kernels._python_steps == _kernels.C_MIN_WORK == 16 * 16384 and asked
 
-    def test_calls_below_the_threshold_never_load_the_library(self, fresh_count, monkeypatch):
+    def test_calls_below_the_threshold_never_load_the_library(self, c_switch, monkeypatch):
         def unreachable():
             raise AssertionError("log_phi reached the C library below its threshold")
 
         monkeypatch.setattr(_kernels, "_library", unreachable)
-        # the golden exact flow: 12 rounds of 4 calls, and 2 at its start
-        run_local_gf(gen_synthetic(SyntheticSpec(delta=0.1, g=5.0)),
-                     RunConfig(R=12, K=2, eta=1.0, gf_method="exact"))
-        assert specialfn._python_calls == 50
-        for _ in range(specialfn._C_MIN_CALLS - specialfn._python_calls - 1):
-            specialfn.log_phi(2.0, 0.5)
-        assert specialfn._c_log_phi is None
+        with c_switch(steps=0):
+            # the golden exact flow: 12 rounds of 4 calls, and 2 at its start
+            run_local_gf(gen_synthetic(SyntheticSpec(delta=0.1, g=5.0)),
+                         RunConfig(R=12, K=2, eta=1.0, gf_method="exact"))
+            assert _kernels._python_steps == 16 * 50
+            for _ in range(_SOLVES - 50 - 1):
+                specialfn.log_phi(2.0, 0.5)
+            assert specialfn._c_log_phi is None
 
-    def test_crossing_the_threshold_loads_the_library_once(self, fresh_count, monkeypatch):
+    def test_crossing_the_threshold_loads_the_library_once(self, c_switch, monkeypatch):
         if _kernels._library() is None:
             pytest.skip("the C kernels cannot be built here")
         asked, in_python = [], []
@@ -421,27 +411,28 @@ class TestLogPhiSwitch:
         monkeypatch.setattr(_kernels, "_library", lambda: asked.append(1) or library())
         monkeypatch.setattr(specialfn, "_log_phi",
                             lambda b, x: in_python.append(1) or body(b, x))
-        inputs = [(2.0, 0.5 + k * 1e-6) for k in range(specialfn._C_MIN_CALLS + 100)]
-        got = [specialfn.log_phi(b, x).hex() for b, x in inputs]
+        inputs = [(2.0, 0.5 + k * 1e-6) for k in range(_SOLVES + 100)]
+        with c_switch(steps=0):
+            got = [specialfn.log_phi(b, x).hex() for b, x in inputs]
         assert len(asked) == 1
-        assert len(in_python) == specialfn._C_MIN_CALLS  # the last of them asked
+        assert len(in_python) == _SOLVES - 1  # the solve that reaches C_MIN_WORK runs in C
         assert got == [body(b, x).hex() for b, x in inputs]
 
-    def test_without_a_compiler_calls_stay_python_and_warn_once(self, fresh_count, monkeypatch,
+    def test_without_a_compiler_calls_stay_python_and_warn_once(self, c_switch, monkeypatch,
                                                                tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(_kernels, "_CC", "localgd-no-such-compiler")
-        monkeypatch.setattr(specialfn, "_python_calls", specialfn._C_MIN_CALLS - 1)
         _kernels._library.cache_clear()
         try:
-            with warnings.catch_warnings(record=True) as caught:
+            with warnings.catch_warnings(record=True) as caught, \
+                    c_switch(steps=_kernels.C_MIN_WORK - 16):
                 warnings.simplefilter("always")
                 got = [specialfn.log_phi(b, x).hex() for b, x in LOG_PHI_EDGES]
+                assert specialfn._c_log_phi is None
         finally:
             _kernels._library.cache_clear()
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "log_phi" in str(caught[0].message)
-        assert specialfn._c_log_phi is None
         assert got == [specialfn._log_phi(b, x).hex() for b, x in LOG_PHI_EDGES]
 
 
