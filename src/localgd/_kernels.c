@@ -139,7 +139,8 @@ static void rk4_flows(int n, double *a, const double *g, double eta, double t_to
     }
 }
 
-/* raises err_max[0] to the substeps-vs-half-resolution error estimate (none when substeps is 1) */
+/* raises err_max[0] to the error estimate: the endpoint gap to substeps / 2 steps, or 2 steps
+ * when substeps is 1 */
 int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double *G,
                                   const double *a0, double w0_sq, double *a, double eta,
                                   int64_t K, int64_t rounds, int64_t substeps, int64_t stride,
@@ -147,6 +148,7 @@ int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double 
                                   int64_t *r_hist, double *err_max)
 {
     double T = (double)K;
+    int64_t coarse = substeps / 2 ? substeps / 2 : 2;
     int64_t slot = 0, r;
     for (r = 0; rule_holds(M, gammas, a0, w0_sq, a, C); r++) {
         if (r % stride == 0 || r == rounds)
@@ -155,18 +157,15 @@ int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double 
             return slot;
         for (int64_t m0 = 0; m0 < M; m0 += BLOCK) {
             int n = block_size(M, m0);
-            double end[BLOCK], half[BLOCK];
+            double end[BLOCK], coarse_end[BLOCK];
             memcpy(end, a + m0, (size_t)n * sizeof(double));
-            memcpy(half, a + m0, (size_t)n * sizeof(double));
+            memcpy(coarse_end, a + m0, (size_t)n * sizeof(double));
             rk4_flows(n, end, gammas + m0, eta, T, substeps);
-            if (substeps >= 2)
-                rk4_flows(n, half, gammas + m0, eta, T, substeps / 2);
+            rk4_flows(n, coarse_end, gammas + m0, eta, T, coarse);
             for (int j = 0; j < n; j++) {
-                if (substeps >= 2) {
-                    double diff = fabs(end[j] - half[j]);
-                    if (diff > err_max[0])
-                        err_max[0] = diff;
-                }
+                double diff = fabs(end[j] - coarse_end[j]);
+                if (diff > err_max[0])
+                    err_max[0] = diff;
                 delta[m0 + j] = end[j] - a[m0 + j];
             }
         }

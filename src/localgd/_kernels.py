@@ -281,6 +281,7 @@ def _rk4_flow(a, g, eta, t_total, substeps):
 def _gf_numeric_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, substeps, stride, C,
                             delta, a_hist, C_hist, r_hist):
     M, T = len(a), float(K)
+    coarse = substeps // 2 or 2
     err_max = 0.0
 
     def step():
@@ -289,11 +290,9 @@ def _gf_numeric_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, substeps, s
             am = a[m]
             g = gammas[m]
             end = _rk4_flow(am, g, eta, T, substeps)
-            if substeps >= 2:
-                half = _rk4_flow(am, g, eta, T, substeps // 2)
-                diff = abs(end - half)
-                if diff > err_max:
-                    err_max = diff
+            diff = abs(end - _rk4_flow(am, g, eta, T, coarse))
+            if diff > err_max:
+                err_max = diff
             delta[m] = end - am
 
     used = _rounds(gammas, G, a0, w0_sq, a, rounds, stride, C, delta, a_hist, C_hist, r_hist, step)
@@ -307,8 +306,8 @@ def gf_numeric_margin(gammas, G, a0, w0_sq, eta, K, rounds, substeps, stride=1):
     Each round integrates every client's scalar flow for K time units with
     ``substeps`` steps, then averages through the Gram matrix. Returns
     (rounds_traced, a_hist, C_hist, stop, err_max) where stop is as in
-    local_gd_margin and err_max is the largest endpoint discrepancy against a
-    half-resolution integration (0.0 when substeps is 1).
+    local_gd_margin and err_max is the largest endpoint discrepancy against an
+    integration with ``substeps // 2 or 2`` steps.
     """
     M, eta, K, rounds = len(gammas), float(eta), int(K), int(rounds)
     substeps, stride = int(substeps), int(stride)

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -418,17 +418,37 @@ def _cmd_gen_data(args):
     return EXIT_OK
 
 
+def _typed(record):
+    """``record``, a RoundTrace or RunConfig read from a summary, if each field holds the JSON
+    type the summary writer puts there, else a TypeError. The fields' annotations (strings,
+    as optim postpones them) name it: an integer, a float (finite or not), a string, a
+    boolean, or a list of floats for a list or tuple; null where the annotation allows None."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        kind, _, none = f.type.partition(" | ")
+        if value is None and none == "None":
+            continue
+        if kind in ("list[float]", "tuple[float, ...]"):
+            holds = type(value) is list and all(type(v) is float for v in value)
+        else:
+            holds = type(value) is {"int": int, "float": float, "str": str, "bool": bool}[kind]
+        if not holds:
+            raise TypeError(f"{f.name} = {value!r} is not a JSON {f.type}")
+    return record
+
+
 def _load_run_artifacts(path):
     """The RunResult a summary file records, and its dataset's fingerprint."""
     with open(path) as f:
         doc = json.load(f)
     try:
-        traces = [RoundTrace(**t) for t in doc["traces"]]
+        traces = [_typed(RoundTrace(**t)) for t in doc["traces"]]
         cfg_doc = {k: v for k, v in doc["config"].items() if k not in ("optimizer", "policy")}
-        config = RunConfig(**cfg_doc)
+        config = _typed(RunConfig(**cfg_doc))
+        optimizer = doc["config"].get("optimizer", "local-gd")
         fingerprint = doc["dataset"]["fingerprint"]
-        if not isinstance(fingerprint, str):
-            raise TypeError("dataset fingerprint is not a string")
+        if not isinstance(optimizer, str) or not isinstance(fingerprint, str):
+            raise TypeError("optimizer or dataset fingerprint is not a string")
     except (KeyError, TypeError, AttributeError, ValueError) as err:
         raise IdxFormatError(f"{path}: not a run summary file ({err})") from None
     return optim.RunResult(
@@ -436,7 +456,7 @@ def _load_run_artifacts(path):
         final_weights=np.zeros(0),
         averaged_weights=None,
         config=config,
-        optimizer=doc["config"].get("optimizer", "local-gd"),
+        optimizer=optimizer,
     ), fingerprint
 
 

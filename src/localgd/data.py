@@ -296,7 +296,7 @@ def _margin_solver(Z, tol, max_iter):
     alpha = np.ones(N)
     y = alpha.copy()
     t_mom = 1.0
-    best = (-math.inf, math.inf, None, None)  # lb, ub, w, v
+    best = (-math.inf, math.inf, None)  # lb, ub, w
     dual_prev = -math.inf
     for it in range(1, max_iter + 1):
         grad = gram_mv(y) - 1.0
@@ -333,10 +333,10 @@ def _margin_solver(Z, tol, max_iter):
                 lb = float(np.min(Z @ w))
                 ub = 1.0 / math.sqrt(2.0 * dual) if dual > 0.0 else math.inf
                 if lb > best[0]:
-                    best = (lb, ub, w, vvec)
+                    best = (lb, ub, w)
                 if lb > 0.0 and ub - lb <= tol:
-                    return lb, ub, w, alpha
-    lb, ub, w, _ = best
+                    return lb, ub, w
+    lb, ub, w = best
     if lb <= 0.0:
         raise SeparabilityError(
             f"no separating direction found within {max_iter} iterations"
@@ -357,7 +357,7 @@ def compute_margin(dataset: FederatedDataset, tol=1e-8, max_iter=500000):
     if dataset.margin is not None:
         return dataset.margin
     Z = dataset.all_points()
-    lb, _ub, w, _alpha = _margin_solver(Z, tol, max_iter)
+    lb, _ub, w = _margin_solver(Z, tol, max_iter)
     result = (lb, w)
     dataset.margin = result
     return result
@@ -459,35 +459,19 @@ def write_json(path, doc):
         f.write("\n")
 
 
-def _holds_bool(values):
-    """Whether a JSON boolean sits anywhere in ``values``, a number or nested lists."""
-    if isinstance(values, list):
-        return any(_holds_bool(v) for v in values)
-    return isinstance(values, bool)
-
-
-def _finite(values, shape, bools):
+def _floats(values, shape):
     """``values`` as a float64 array of ``shape``; another shape, or an entry that is not a
-    finite number, is a ValueError. An empty list is an empty array of any shape that has
-    no entries, such as a client with no rows. With ``bools`` (the file's text holds true or
-    false) each entry is also tested for a boolean, which np.array would make 1.0 or 0.0."""
+    finite JSON float (an integer, a boolean, null or a string), is a ValueError. An empty
+    list is an empty array of any shape that has no entries, such as a client with no rows."""
     array = np.array(values)
     if array.size == 0:
         array = array.reshape(shape)
     if array.shape != shape:
         raise ValueError(f"shape {array.shape}, need {shape}")
-    if (array.dtype.kind not in "fi" or not np.isfinite(array).all()
-            or bools and _holds_bool(values)):
-        raise ValueError("an entry is not a finite number")
-    return array.astype(np.float64, copy=False)
-
-
-def _read_json(path):
-    """The JSON document in ``path``, and whether its text could hold a boolean: JSON spells
-    one true or false, and a text without either word holds none."""
-    with open(path) as f:
-        text = f.read()
-    return json.loads(text), "true" in text or "false" in text
+    rows = values if len(shape) == 2 else [values] if shape else [[values]]
+    if not all(set(map(type, row)) <= {float} for row in rows) or not np.isfinite(array).all():
+        raise ValueError("an entry is not a finite JSON float")
+    return array
 
 
 def load_dataset(path) -> FederatedDataset:
@@ -497,10 +481,11 @@ def load_dataset(path) -> FederatedDataset:
     or version, missing keys, a ``d`` that is not a JSON integer, an ``M`` or
     ``n`` other than the one save_dataset writes for the clients, an array of
     the wrong shape such as a row that is not ``d`` entries long or a ``w_star``
-    that is not, an entry that is not a finite number, a boolean included, a
-    fingerprint that does not match the payload) raises IdxFormatError.
+    that is not, an entry that is not a finite float such as an integer or a
+    boolean, a fingerprint that does not match the payload) raises IdxFormatError.
     """
-    doc, bools = _read_json(path)
+    with open(path) as f:
+        doc = json.load(f)
     if (not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT
             or doc.get("version") != DATASET_VERSION):
         raise IdxFormatError(f"{path}: not a version-{DATASET_VERSION} dataset file")
@@ -508,11 +493,11 @@ def load_dataset(path) -> FederatedDataset:
         d = doc["d"]
         if type(d) is not int or d < 1:
             raise ValueError(f"d = {d!r}")
-        clients = [_finite(Z, (len(Z), d), bools) for Z in doc["clients"]]
+        clients = [_floats(Z, (len(Z), d)) for Z in doc["clients"]]
         margin = None
         if doc.get("margin"):
-            margin = (float(_finite(doc["margin"]["gamma"], (), bools)),
-                      _finite(doc["margin"]["w_star"], (d,), bools))
+            margin = (float(_floats(doc["margin"]["gamma"], ())),
+                      _floats(doc["margin"]["w_star"], (d,)))
         ds = FederatedDataset(clients=clients, d=d, margin=margin)
         payload = _dataset_payload(ds)
         for key in ("M", "n"):

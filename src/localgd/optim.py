@@ -438,14 +438,15 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
             lyap=lambda idx: _lyap_fields(gammas, etaK, a_hist[idx]),
         )
     else:
+        coarse = config.gf_substeps // 2 or 2
+
         def step(w, _rep):
             nonlocal err_max
             acc = np.zeros_like(w)
             for Z in dataset.clients:
                 w_end = _rk4_client_flow(Z, w, eta, float(config.K), config.gf_substeps)
-                if config.gf_substeps >= 2:
-                    w_half = _rk4_client_flow(Z, w, eta, float(config.K), config.gf_substeps // 2)
-                    err_max = max(err_max, float(np.max(np.abs(w_end - w_half))))
+                w_coarse = _rk4_client_flow(Z, w, eta, float(config.K), coarse)
+                err_max = max(err_max, float(np.max(np.abs(w_end - w_coarse))))
                 acc = acc + w_end
             return acc / M, None
 

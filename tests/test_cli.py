@@ -507,6 +507,26 @@ class TestCheckCommand:
         for path in (synthetic_file, other):
             assert json.loads(path.read_text())["fingerprint"] in err
 
+    # a value of another JSON type than the summary writer puts there
+    WRONG_TYPES = {
+        "string-loss": lambda doc: doc["traces"][1].update(global_loss="0.5"),
+        "number-client-losses": lambda doc: doc["traces"][1].update(client_losses=0.5),
+        "string-round": lambda doc: doc["traces"][1].update(r="3"),
+        "string-eta": lambda doc: doc["config"].update(eta="1"),
+        "float-K": lambda doc: doc["config"].update(K=2.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_summary_value_of_the_wrong_type_is_format_error(self, synthetic_file, tmp_path,
+                                                             capsys, case):
+        summary = self._run(synthetic_file, tmp_path)
+        doc = json.loads(summary.read_text())
+        self.WRONG_TYPES[case](doc)
+        summary.write_text(json.dumps(doc))
+        code = cli.main(["check", "--run", str(summary), "--dataset", str(synthetic_file)])
+        assert code == cli.EXIT_IO
+        assert "not a run summary file" in capsys.readouterr().err
+
     def test_corrupted_summary_is_format_error(self, synthetic_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"traces": "nope"}')

@@ -372,6 +372,10 @@ class TestSerialization:
         # np.array makes a boolean beside a number 1.0 or 0.0
         "mixed-bool-row": lambda doc: _unsigned(doc)["clients"][0].__setitem__(0, [True, 0.5]),
         "bool-w_star": lambda doc: doc["margin"]["w_star"].__setitem__(0, False),
+        # an integer gives the same float64 bits, but saving the load would write 1.0
+        "int-entry": lambda doc: _unsigned(doc)["clients"][0][0].__setitem__(0, 1),
+        "int-gamma": lambda doc: doc["margin"].update(gamma=1),
+        "int-w_star": lambda doc: doc["margin"]["w_star"].__setitem__(0, 0),
         # d is a JSON integer; M and n are what save_dataset writes for the clients
         "string-d": lambda doc: doc.update(d="2"),
         "float-d": lambda doc: doc.update(d=2.5),
@@ -396,7 +400,7 @@ class TestSerialization:
             load_dataset(path)
 
     def test_booleans_outside_the_arrays_load(self, tmp_path):
-        # the words true and false send the load through the per-entry boolean test
+        # only the array entries are held to the float rule
         ds = gen_synthetic(SyntheticSpec(delta=1.0, g=1))
         compute_margin(ds)
         path = tmp_path / "ds.json"

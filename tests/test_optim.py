@@ -383,20 +383,27 @@ class TestRunLocalGf:
 
     @pytest.mark.parametrize("substeps", [1, 4])
     @pytest.mark.filterwarnings("ignore:flow integration error estimate")
-    def test_half_resolution_pass_only_with_two_substeps(self, rng, monkeypatch, substeps):
-        # with one substep the half-resolution pass would integrate the same path again
+    def test_error_estimate_integrates_a_coarser_pass(self, rng, monkeypatch, substeps):
+        # one substep is set against two, since half of one would integrate the same path again
         calls = []
         real = optim._rk4_client_flow
         monkeypatch.setattr(optim, "_rk4_client_flow", lambda *a: calls.append(a[-1]) or real(*a))
         ds = separable_dataset(rng, M=2, n=3, d=3)
         run_local_gf(ds, RunConfig(R=3, K=2, eta=1.0, gf_substeps=substeps))
-        assert sorted(set(calls)) == sorted({substeps, max(1, substeps // 2)})
-        assert len(calls) == ds.M * 3 * (1 if substeps < 2 else 2)
+        assert sorted(set(calls)) == sorted({substeps, substeps // 2 or 2})
+        assert len(calls) == ds.M * 3 * 2
 
     def test_coarse_substeps_warn(self):
         ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
         with pytest.warns(UserWarning, match="error estimate"):
             run_local_gf(ds, RunConfig(R=3, K=64, eta=4.0, gf_method="numeric", gf_substeps=2))
+
+    def test_one_substep_warns(self):
+        # golden_synthetic.json's geometry: one RK4 step per round's K = 4 time units at
+        # eta 20 overshoots the flow (its Lyapunov value rises), and the estimate says so
+        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
+        with pytest.warns(UserWarning, match="error estimate"):
+            run_local_gf(ds, RunConfig(R=20, K=4, eta=20.0, gf_method="numeric", gf_substeps=1))
 
     def test_determinism(self):
         ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
