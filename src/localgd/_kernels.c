@@ -14,10 +14,12 @@
  * overflows, so a local step from that far out is e / inf = 0, the rule the
  * Python bodies apply.
  *
- * Arrays are C-contiguous: G is M x M, a_hist and C_hist are slots x M.
- * A run stops at the first round, 0 included, that breaks the divergence
- * rule (see _kernels.py); that round goes to r_hist[slot], the first slot
- * left unwritten. The return value is the number of slots written.
+ * Both kernels take the argument list _kernels._run lays out and write only
+ * to its buffers (the flow's error estimate to the per-client err). Arrays
+ * are C-contiguous: G is M x M, a_hist and C_hist are slots x M. A run stops
+ * at the first round, 0 included, that breaks the divergence rule (see
+ * _kernels.py); that round goes to r_hist[slot], the first slot left
+ * unwritten. The return value is the number of slots written.
  *
  * localgd_log_phi is bitwise specialfn._log_phi by construction: it calls
  * the libm functions behind CPython's math.exp, expm1, log1p and log, in the
@@ -139,13 +141,13 @@ static void rk4_flows(int n, double *a, const double *g, double eta, double t_to
     }
 }
 
-/* raises err_max[0] to the error estimate: the endpoint gap to substeps / 2 steps, or 2 steps
- * when substeps is 1 */
+/* err[m] keeps client m's largest error estimate: the endpoint gap to substeps / 2 steps, or
+ * 2 steps when substeps is 1 */
 int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double *G,
                                   const double *a0, double w0_sq, double *a, double eta,
-                                  int64_t K, int64_t rounds, int64_t substeps, int64_t stride,
-                                  double *C, double *delta, double *a_hist, double *C_hist,
-                                  int64_t *r_hist, double *err_max)
+                                  int64_t K, int64_t substeps, int64_t rounds, int64_t stride,
+                                  double *C, double *delta, double *err, double *a_hist,
+                                  double *C_hist, int64_t *r_hist)
 {
     double T = (double)K;
     int64_t coarse = substeps / 2 ? substeps / 2 : 2;
@@ -164,8 +166,8 @@ int64_t localgd_gf_numeric_margin(int64_t M, const double *gammas, const double 
             rk4_flows(n, coarse_end, gammas + m0, eta, T, coarse);
             for (int j = 0; j < n; j++) {
                 double diff = fabs(end[j] - coarse_end[j]);
-                if (diff > err_max[0])
-                    err_max[0] = diff;
+                if (diff > err[m0 + j])
+                    err[m0 + j] = diff;
                 delta[m0 + j] = end[j] - a[m0 + j];
             }
         }

@@ -28,6 +28,10 @@ Only the chains of different clients, which share no data, may interleave: the
 C kernels step a block of clients side by side so that their chains overlap.
 An overflowing exp counts as inf, so the local step from there is e / inf = 0.
 
+Both wrappers enter through ``_run``, which picks the backend, lays out the
+buffers and cuts the histories. A kernel writes only to its buffers and
+histories, the flow's RK4 error estimate to a per-client work buffer ``err``.
+
 The library also holds ``localgd_log_phi``, the C port of ``specialfn``'s
 ``log_phi`` solve (Newton, then bisection). It is bitwise equal to the Python
 body by construction: it calls the libm functions behind ``math.exp``,
@@ -105,7 +109,7 @@ def _library():
         [n, f64, f64, f64, x, f64, x, n, n, n] + [f64] * 6 + [i64])
     lib.localgd_local_gd_margin.restype = n
     lib.localgd_gf_numeric_margin.argtypes = (
-        [n, f64, f64, f64, x, f64, x, n, n, n, n] + [f64] * 4 + [i64, f64])
+        [n, f64, f64, f64, x, f64, x, n, n, n, n] + [f64] * 5 + [i64])
     lib.localgd_gf_numeric_margin.restype = n
     lib.localgd_log_phi.argtypes = (x, x)
     lib.localgd_log_phi.restype = x
@@ -126,39 +130,41 @@ def _trace_slots(rounds, stride):
     return rounds // stride + (1 if rounds % stride else 0) + 1
 
 
-def _kernel_args(c, slots, n_work, gammas, G, a0, w0_sq):
-    """The buffers a kernel runs on: float64 arrays for C, else lists of Python floats.
+def _run(name, body, steps, gammas, G, a0, w0_sq, rounds, stride, n_work, *params):
+    """Run kernel ``name`` of the C library, or its Python ``body`` where ``_c_library(steps)``
+    is None, from w0, whose projections are a0 and whose squared norm is w0_sq.
 
-    Returns ``(start, work, hist)``: ``start`` is (gammas, G, a0, w0_sq, a), ``a``
-    a fresh copy of ``a0``, ``work`` holds ``n_work`` zeroed length-M buffers and
-    ``hist`` the (a_hist, C_hist, r_hist) histories with ``slots`` rows.
+    Both get (gammas, G, a0, w0_sq, a, *params, rounds, stride, *work, a_hist, C_hist,
+    r_hist), C with M first: float64 arrays for C, else lists of Python floats. ``a`` is a
+    fresh copy of a0, ``work`` holds ``n_work`` zeroed length-M buffers and the histories
+    have a slot per traced round. Returns ((rounds_traced, a_hist, C_hist, stop), work), the
+    histories cut to the slots used; ``stop`` is the round the run stopped at, or None if it
+    filled every slot.
     """
-    gammas = np.ascontiguousarray(gammas, dtype=np.float64)
-    G = np.ascontiguousarray(G, dtype=np.float64)
-    a0 = np.ascontiguousarray(a0, dtype=np.float64)
+    lib = _c_library(steps)
+    gammas, G, a0 = (np.ascontiguousarray(x, dtype=np.float64) for x in (gammas, G, a0))
     M = len(gammas)
     if gammas.shape != (M,) or G.shape != (M, M) or a0.shape != (M,):
         raise ValueError(f"need M gammas, an M x M Gram matrix and M projections, got "
                          f"shapes {gammas.shape}, {G.shape} and {a0.shape}")
-    if c:
+    slots = _trace_slots(rounds, stride)
+    if lib is None:
+        gammas, G, a0, a = (x.tolist() for x in (gammas, G, a0, a0))
+        work = [[0.0] * M for _ in range(n_work)]
+        hist = ([None] * slots, [None] * slots, [0] * slots)
+    else:
+        a = a0.copy()
         work = [np.zeros(M) for _ in range(n_work)]
         hist = (np.zeros((slots, M)), np.zeros((slots, M)), np.zeros(slots, dtype=np.int64))
-        return (gammas, G, a0, float(w0_sq), a0.copy()), work, hist
-    work = [[0.0] * M for _ in range(n_work)]
-    hist = ([None] * slots, [None] * slots, [0] * slots)
-    return (gammas.tolist(), G.tolist(), a0.tolist(), float(w0_sq), a0.tolist()), work, hist
-
-
-def _traced(hist, used, M):
-    """(rounds_traced, a_hist, C_hist, stop) cut to the ``used`` slots; ``stop`` is the
-    round the run stopped at, or None if it filled every slot."""
+    args = (gammas, G, a0, float(w0_sq), a, *params, rounds, stride, *work, *hist)
+    used = body(*args) if lib is None else getattr(lib, name)(M, *args)
     a_hist, C_hist, r_hist = hist
     return (
         np.asarray(r_hist[:used], dtype=np.int64),
         np.asarray(a_hist[:used], dtype=np.float64).reshape(used, M),
         np.asarray(C_hist[:used], dtype=np.float64).reshape(used, M),
-        int(r_hist[used]) if used < len(r_hist) else None,
-    )
+        int(r_hist[used]) if used < slots else None,
+    ), work
 
 
 def _rule_holds(gammas, a0, w0_sq, a, C):
@@ -237,19 +243,11 @@ def local_gd_margin(gammas, G, a0, w0_sq, eta, K, rounds, stride=1):
     if it ran every round), C_sum accumulates C over round starts and S_local
     the within-round partial sums needed for uniform iterate averaging.
     """
-    M, eta, K, rounds, stride = len(gammas), float(eta), int(K), int(rounds), int(stride)
-    lib = _c_library(M * K * rounds)
-    start, work, hist = _kernel_args(
-        lib is not None, _trace_slots(rounds, stride), 4, gammas, G, a0, w0_sq)
-    if lib is None:
-        used = _local_gd_margin_core(*start, eta, K, rounds, stride, *work, *hist)
-    else:
-        used = lib.localgd_local_gd_margin(M, *start, eta, K, rounds, stride, *work, *hist)
-    _C, C_sum, S_local, _delta = work
-    return _traced(hist, used, M) + (
-        np.asarray(C_sum, dtype=np.float64),
-        np.asarray(S_local, dtype=np.float64),
-    )
+    K, rounds = int(K), int(rounds)
+    traced, (_C, C_sum, S_local, _delta) = _run(
+        "localgd_local_gd_margin", _local_gd_margin_core, len(gammas) * K * rounds,
+        gammas, G, a0, w0_sq, rounds, int(stride), 4, float(eta), K)
+    return traced + (np.asarray(C_sum, dtype=np.float64), np.asarray(S_local, dtype=np.float64))
 
 
 def _exp(x):
@@ -278,25 +276,22 @@ def _rk4_flow(a, g, eta, t_total, substeps):
     return a
 
 
-def _gf_numeric_margin_core(gammas, G, a0, w0_sq, a, eta, K, rounds, substeps, stride, C,
-                            delta, a_hist, C_hist, r_hist):
+def _gf_numeric_margin_core(gammas, G, a0, w0_sq, a, eta, K, substeps, rounds, stride, C,
+                            delta, err, a_hist, C_hist, r_hist):
     M, T = len(a), float(K)
     coarse = substeps // 2 or 2
-    err_max = 0.0
 
     def step():
-        nonlocal err_max
         for m in range(M):
             am = a[m]
             g = gammas[m]
             end = _rk4_flow(am, g, eta, T, substeps)
             diff = abs(end - _rk4_flow(am, g, eta, T, coarse))
-            if diff > err_max:
-                err_max = diff
+            if diff > err[m]:
+                err[m] = diff
             delta[m] = end - am
 
-    used = _rounds(gammas, G, a0, w0_sq, a, rounds, stride, C, delta, a_hist, C_hist, r_hist, step)
-    return used, err_max
+    return _rounds(gammas, G, a0, w0_sq, a, rounds, stride, C, delta, a_hist, C_hist, r_hist, step)
 
 
 def gf_numeric_margin(gammas, G, a0, w0_sq, eta, K, rounds, substeps, stride=1):
@@ -309,17 +304,8 @@ def gf_numeric_margin(gammas, G, a0, w0_sq, eta, K, rounds, substeps, stride=1):
     local_gd_margin and err_max is the largest endpoint discrepancy against an
     integration with ``substeps // 2 or 2`` steps.
     """
-    M, eta, K, rounds = len(gammas), float(eta), int(K), int(rounds)
-    substeps, stride = int(substeps), int(stride)
-    lib = _c_library(M * rounds * substeps)
-    start, work, hist = _kernel_args(
-        lib is not None, _trace_slots(rounds, stride), 2, gammas, G, a0, w0_sq)
-    if lib is None:
-        used, err_max = _gf_numeric_margin_core(
-            *start, eta, K, rounds, substeps, stride, *work, *hist)
-    else:
-        err = np.zeros(1)
-        used = lib.localgd_gf_numeric_margin(
-            M, *start, eta, K, rounds, substeps, stride, *work, *hist, err)
-        err_max = err[0]
-    return _traced(hist, used, M) + (float(err_max),)
+    rounds, substeps = int(rounds), int(substeps)
+    traced, (_C, _delta, err) = _run(
+        "localgd_gf_numeric_margin", _gf_numeric_margin_core, len(gammas) * rounds * substeps,
+        gammas, G, a0, w0_sq, rounds, int(stride), 3, float(eta), int(K), substeps)
+    return traced + (float(max(err, default=0.0)),)

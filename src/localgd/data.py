@@ -365,6 +365,8 @@ def compute_margin(dataset: FederatedDataset, tol=1e-8, max_iter=500000):
 
 def _dataset_payload(ds: FederatedDataset):
     sizes = ds.client_sizes
+    if not sizes or 0 in sizes:
+        raise ValueError("a dataset needs at least one client, and every client a row")
     n = sizes[0] if len(set(sizes)) == 1 else sizes
     payload = {
         "d": ds.d,
@@ -382,8 +384,9 @@ def _dataset_payload(ds: FederatedDataset):
 def save_dataset(ds: FederatedDataset, path, extra=None):
     """Write the versioned JSON snapshot of a dataset (margin included if cached).
 
-    A payload holding a NaN or an infinity raises ValueError, so every file
-    this writes loads back.
+    A dataset with no clients or a client with no rows, or a payload holding
+    a NaN or an infinity, raises ValueError, so every file this writes loads
+    back.
     """
     payload = _dataset_payload(ds)
     values = list(payload["clients"])
@@ -462,7 +465,7 @@ def write_json(path, doc):
 def _floats(values, shape):
     """``values`` as a float64 array of ``shape``; another shape, or an entry that is not a
     finite JSON float (an integer, a boolean, null or a string), is a ValueError. An empty
-    list is an empty array of any shape that has no entries, such as a client with no rows."""
+    list is an empty array of any shape that has no entries."""
     array = np.array(values)
     if array.size == 0:
         array = array.reshape(shape)
@@ -482,7 +485,8 @@ def load_dataset(path) -> FederatedDataset:
     ``n`` other than the one save_dataset writes for the clients, an array of
     the wrong shape such as a row that is not ``d`` entries long or a ``w_star``
     that is not, an entry that is not a finite float such as an integer or a
-    boolean, a fingerprint that does not match the payload) raises IdxFormatError.
+    boolean, no clients or a client with no rows, a fingerprint that does not
+    match the payload) raises IdxFormatError.
     """
     with open(path) as f:
         doc = json.load(f)

@@ -315,8 +315,16 @@ def check_run(run, dataset, checks=None) -> list[CheckReport]:
     return reports
 
 
+def _check_envelope_args(gamma, K, R):
+    if not (0 < gamma <= 1 and K >= 1 and R >= 1):
+        raise ValueError(f"need gamma in (0, 1] and K, R >= 1, got {gamma}, {K} and {R}")
+
+
 def envelope_two_stage(eta2, gamma, K, R, r0) -> float:
     """Final-loss bound 2/(eta2 * gamma^2 * K * (R - r0)) of the two-stage rate."""
+    _check_envelope_args(gamma, K, R)
+    if not (eta2 > 0 and math.isfinite(eta2)):
+        raise ValueError(f"eta2 must be positive and finite, got {eta2}")
     if R <= r0:
         raise ValueError(f"R={R} must exceed r0={r0}")
     return 2.0 / (eta2 * gamma**2 * K * (R - r0))
@@ -330,10 +338,7 @@ def envelope_baseline(kind, gamma, K, R) -> float:
     kind="local":  (1 + plog(R)^2)/(g^2*R) + plog(R)^(4/3)/(g^(4/3)*R^(4/3))
     with plog(x) = max(0, log(x)).
     """
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    if K < 1 or R < 1:
-        raise ValueError("K and R must be >= 1")
+    _check_envelope_args(gamma, K, R)
     if kind == "global":
         t1_arg = K * R * gamma**2
         t2_arg = R ** (2.0 / 3.0) * gamma ** (4.0 / 3.0)

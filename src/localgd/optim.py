@@ -49,8 +49,9 @@ class RunConfig:
     """Round/step counts, stepsizes, and run options shared by all optimizers.
 
     eta drives local GD and local GF; (eta1, eta2, r0) drive the two-stage
-    runner. trace_every > 1 thins the recorded traces (round 0 and the final
-    round are always kept) for very long runs.
+    runner; each one given must be positive and finite. trace_every > 1 thins
+    the recorded traces (round 0 and the final round are always kept) for very
+    long runs.
     """
 
     R: int
@@ -70,6 +71,9 @@ class RunConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for value in (self.eta, self.eta1, self.eta2):
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"stepsizes must be positive and finite, got {value}")
         if self.R < 1:
             raise ValueError(f"R must be >= 1, got {self.R}")
         if self.K < 1:
@@ -232,8 +236,6 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
     """
     if config.eta is None:
         raise ValueError("run_local_gd requires config.eta")
-    if config.eta <= 0:
-        raise ValueError(f"eta must be positive, got {config.eta}")
     if config.engine == "margin":
         return _run_margin_engine(dataset, config)
     eta = config.eta
@@ -391,8 +393,6 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     """
     if config.eta is None:
         raise ValueError("run_local_gf requires config.eta")
-    if config.eta <= 0:
-        raise ValueError(f"eta must be positive, got {config.eta}")
     if config.averaging != "final_iterate":
         raise ValueError("run_local_gf has no iterate average; averaging must be final_iterate")
     eta = config.eta

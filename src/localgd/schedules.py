@@ -28,11 +28,6 @@ class StepsizePolicy:
     eta2: float | None = None
     r0: int | None = None
 
-    def __post_init__(self):
-        for value in (self.eta, self.eta1, self.eta2):
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"stepsizes must be positive and finite, got {value}")
-
 
 def make_policy(kind, K, H=0.25, lam=None, eta=None, eta1=None, eta2=None, r0=None):
     """Resolve a policy name into concrete stepsizes.
@@ -53,6 +48,8 @@ def make_policy(kind, K, H=0.25, lam=None, eta=None, eta1=None, eta2=None, r0=No
     if kind == "two_stage":
         if lam is None:
             raise ValueError("two_stage policy requires lam")
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
         return StepsizePolicy(
             kind="two_stage",
             eta1=1.0 / (K * H),

@@ -34,6 +34,9 @@ MANIFEST = DATA_DIR / "battery.json"
 SYN = "golden_synthetic.json"
 MULTI = "golden_multi_sample.json"
 IMAGES, LABELS = "images-idx3-ubyte", "labels-idx1-ubyte"
+# SYN with the first client's row removed, unsigned so that the empty client, not the fingerprint,
+# is what load_dataset refuses
+EMPTY_CLIENT = "empty_client.json"
 # --config files: a run's R and eta, and a sweep whose grids are JSON lists
 CONFIGS = {
     "run_config.json": {"R": 30, "eta": 2},
@@ -194,6 +197,13 @@ COMMANDS = [
           "--K", "2", "--R", "6", "--averaging", "uniform_average"), {}),
     (_run("refused", "--optimizer", "local-gf", "--eta", "1", "--K", "2", "--R", "6",
           "--averaging", "uniform_average"), {}),
+    # refusals that once printed a traceback: a zero gamma in the two-stage envelope and an
+    # infinite --lambda (exit 1), and a dataset with a client that has no rows (exit 4)
+    (["envelope", "--kind", "two-stage", "--gamma", "0", "--K", "16", "--R", "2048",
+      "--r0", "64", "--eta2", "4"], {}),
+    (_run("refused", "--optimizer", "two-stage", "--policy", "two-stage", "--lambda", "inf",
+          "--K", "4", "--R", "10"), {}),
+    (_run("refused", "--eta", "1", "--R", "3", dataset=EMPTY_CLIENT), {}),
 ]
 
 
@@ -250,6 +260,10 @@ def prepare(root):
         (root / name).write_text(json.dumps(entries))
     for name, data in zip((IMAGES, LABELS), _idx_pair()):
         (root / name).write_bytes(data)
+    doc = json.loads((DATA_DIR / SYN).read_text())
+    del doc["fingerprint"]
+    doc.update(clients=[[], doc["clients"][1]], n=[0, 1])
+    (root / EMPTY_CLIENT).write_text(json.dumps(doc))
 
 
 def main():

@@ -641,6 +641,15 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(2 / (1 * 0.25 * 8 * 90))
 
+    @pytest.mark.parametrize("flag", [("--gamma", "0"), ("--gamma", "1.5"), ("--K", "0"),
+                                      ("--eta2", "0"), ("--eta2", "inf")], ids="=".join)
+    def test_envelope_two_stage_refuses_bad_arguments(self, flag, capsys):
+        args = {"--gamma": "0.5", "--K": "8", "--R": "100", "--r0": "10", "--eta2": "1"}
+        args.update([flag])
+        assert cli.main(["envelope", "--kind", "two-stage",
+                         *(t for item in args.items() for t in item)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_envelope_gf_kind(self, synthetic_file, capsys):
         code = cli.main(["envelope", "--kind", "gf", "--dataset", str(synthetic_file),
                          "--eta", "1", "--K", "4", "--r", "1e120"])

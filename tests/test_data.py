@@ -385,6 +385,10 @@ class TestSerialization:
         "wrong-n": lambda doc: doc.update(n=2),
         "list-n": lambda doc: doc.update(n=[1, 1]),
         "no-n": lambda doc: doc.pop("n"),
+        # a run needs a client, and every client a row; M and n are what they would be
+        "zero-clients": lambda doc: _unsigned(doc).update(clients=[], M=0, n=[]),
+        "empty-client": lambda doc: _unsigned(doc).update(clients=[[], doc["clients"][1]],
+                                                          n=[0, 1]),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -408,6 +412,14 @@ class TestSerialization:
         loaded = load_dataset(path)
         assert loaded.fingerprint() == ds.fingerprint()
         assert np.array_equal(loaded.margin[1], ds.margin[1])
+
+    @pytest.mark.parametrize("clients", [[], [np.zeros((0, 2)), np.array([[0.5, 0.5]])]],
+                             ids=["no-clients", "empty-client"])
+    def test_save_refuses_a_dataset_without_rows(self, tmp_path, clients):
+        path = tmp_path / "ds.json"
+        with pytest.raises(ValueError, match="every client a row"):
+            save_dataset(FederatedDataset(clients=clients, d=2), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("where", ["client", "gamma", "w_star"])
     def test_save_refuses_non_finite(self, tmp_path, where):
@@ -471,7 +483,8 @@ def _datasets(draw):
     dtype = draw(st.sampled_from([np.float64, np.int64]))
     if dtype is np.int64:
         values = st.integers(-2**53, 2**53)
-    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    # save_dataset refuses a client with no rows
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     clients = [np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d),
                                       min_size=n, max_size=n)), dtype=dtype).reshape(n, d)
                for n in sizes]

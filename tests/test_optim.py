@@ -48,6 +48,17 @@ def one_round(ds, w, K, eta):
     return res.final_weights, max([0.0, *res.traces[0].drift])
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("stepsizes", [
+        dict(eta=-1.0), dict(eta=math.inf), dict(eta=0.0), dict(eta=math.nan),
+        # two-stage stepsizes that a warmup of all R rounds, or of none, never used
+        dict(eta1=0.5, eta2=-1.0, r0=10), dict(eta1=-5.0, eta2=2.0, r0=0),
+    ], ids=["negative", "infinite", "zero", "nan", "eta2-unused", "eta1-unused"])
+    def test_stepsizes_must_be_positive_and_finite(self, stepsizes):
+        with pytest.raises(ValueError, match="^stepsizes must be positive and finite"):
+            RunConfig(R=10, K=2, **stepsizes)
+
+
 class TestLocalGdRound:
     def test_single_step_is_full_gd(self, rng):
         ds = random_dataset(rng, M=3, n=2, d=4)

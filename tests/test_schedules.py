@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from localgd.schedules import StepsizePolicy, make_policy, theory_eta1, theory_r0
+from localgd.schedules import make_policy, theory_eta1, theory_r0
 
 
 class TestMakePolicy:
@@ -42,11 +42,10 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="unknown policy"):
             make_policy("cosine", K=4)
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            StepsizePolicy(kind="explicit", eta=-1.0)
-        with pytest.raises(ValueError):
-            StepsizePolicy(kind="explicit", eta=math.inf)
+    def test_two_stage_refuses_a_lambda_that_is_not_finite(self):
+        for lam in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                make_policy("two_stage", K=4, lam=lam)
 
 
 def r0_terms(eta2, K, M, gamma):
