@@ -107,10 +107,10 @@ class SyntheticSpec:
     g: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.g >= 1:
-            raise ValueError(f"g must be >= 1, got {self.g}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not 1 <= self.g < math.inf:
+            raise ValueError(f"g must be finite and >= 1, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -317,10 +317,13 @@ def _margin_solver(Z, tol, max_iter):
             dual = alpha_sum - 0.5 * vnorm * vnorm
             if dual < dual_prev - 1e-12 * max(1.0, abs(dual_prev)):
                 # the dual objective can only fall if the step overshoots the
-                # curvature estimate; halve it and drop the momentum
+                # curvature estimate; halve it, drop the momentum, and judge the
+                # next checkpoint against this one: the best dual seen so far may
+                # lie beyond what the restarted iteration reaches in 25 steps
                 step *= 0.5
                 y = alpha.copy()
                 t_mom = 1.0
+                dual_prev = dual
             dual_prev = max(dual_prev, dual)
             # the optimal multipliers sum to 1/gamma^2, so this cap only
             # fires when any margin would be below 1e-6
@@ -477,6 +480,20 @@ def _floats(values, shape):
     return array
 
 
+class _FloatMemo(dict):
+    """A ``parse_float`` for ``json``, as ``__getitem__``: the token's ``float``, parsed once.
+
+    A split of pixel data holds a few thousand distinct tokens (values k/255) among hundreds
+    of thousands of entries; each distinct token gets one float, shared by all its repeats.
+    The key is the token's text, so ``-0.0`` and ``0.0`` stay apart, and every value is
+    ``float(token)``, as without the memo.
+    """
+
+    def __missing__(self, token):
+        value = self[token] = float(token)
+        return value
+
+
 def load_dataset(path) -> FederatedDataset:
     """Read a dataset snapshot written by save_dataset, verifying its format.
 
@@ -489,7 +506,7 @@ def load_dataset(path) -> FederatedDataset:
     match the payload) raises IdxFormatError.
     """
     with open(path) as f:
-        doc = json.load(f)
+        doc = json.load(f, parse_float=_FloatMemo().__getitem__)
     if (not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT
             or doc.get("version") != DATASET_VERSION):
         raise IdxFormatError(f"{path}: not a version-{DATASET_VERSION} dataset file")

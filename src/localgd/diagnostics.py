@@ -325,8 +325,8 @@ def envelope_two_stage(eta2, gamma, K, R, r0) -> float:
     _check_envelope_args(gamma, K, R)
     if not (eta2 > 0 and math.isfinite(eta2)):
         raise ValueError(f"eta2 must be positive and finite, got {eta2}")
-    if R <= r0:
-        raise ValueError(f"R={R} must exceed r0={r0}")
+    if not 0 <= r0 < R:
+        raise ValueError(f"r0 must lie in [0, R) = [0, {R}), got {r0}")
     return 2.0 / (eta2 * gamma**2 * K * (R - r0))
 
 

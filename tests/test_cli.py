@@ -41,6 +41,15 @@ class TestGenData:
         assert cli.main(["gen-data", "synthetic", "--delta", "0.1", "--g", "5", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA_DIR / "golden_synthetic.json").read_bytes()
 
+    @pytest.mark.parametrize("flags", [("inf", "5"), ("0.1", "inf")],
+                             ids=lambda f: f"delta={f[0]},g={f[1]}")
+    def test_synthetic_refuses_non_finite_geometry(self, tmp_path, capsys, no_solver, flags):
+        out = tmp_path / "syn.json"
+        assert cli.main(["gen-data", "synthetic", "--delta", flags[0], "--g", flags[1],
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_mnist_partition_file(self, tmp_path, rng):
         from test_data import write_idx_pair
 
@@ -642,7 +651,8 @@ class TestExitCodes:
         assert doc["value"] == pytest.approx(2 / (1 * 0.25 * 8 * 90))
 
     @pytest.mark.parametrize("flag", [("--gamma", "0"), ("--gamma", "1.5"), ("--K", "0"),
-                                      ("--eta2", "0"), ("--eta2", "inf")], ids="=".join)
+                                      ("--eta2", "0"), ("--eta2", "inf"), ("--r0", "-10"),
+                                      ("--r0", "100")], ids="=".join)
     def test_envelope_two_stage_refuses_bad_arguments(self, flag, capsys):
         args = {"--gamma": "0.5", "--K": "8", "--R": "100", "--r0": "10", "--eta2": "1"}
         args.update([flag])

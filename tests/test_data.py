@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localgd import data
+from localgd import cli, data
 from localgd.data import (
     FederatedDataset,
     PartitionSpec,
@@ -99,6 +99,12 @@ class TestSynthetic:
             SyntheticSpec(delta=0.0, g=5)
         with pytest.raises(ValueError):
             SyntheticSpec(delta=0.1, g=0.5)
+
+    @pytest.mark.parametrize("delta,g", [(math.inf, 5), (math.nan, 5), (0.1, math.inf),
+                                         (0.1, math.nan)])
+    def test_spec_refuses_non_finite(self, delta, g):
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticSpec(delta=delta, g=g)
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -298,6 +304,31 @@ class TestMargin:
         with pytest.raises(SeparabilityError):
             compute_margin(ds)
 
+    @staticmethod
+    def _two_clients(g1, g2, c):
+        """flow_lyapunov's geometry, with the closed-form margin 1/sqrt(1^T G^-1 1) of c < 0."""
+        u2 = np.array([c, math.sqrt(1.0 - c * c)])
+        ds = FederatedDataset(clients=[np.array([[g1, 0.0]]), np.array([g2 * u2])], d=2)
+        gram = np.array([[g1 * g1, g1 * g2 * c], [g1 * g2 * c, g2 * g2]])
+        return ds, 1.0 / math.sqrt(np.ones(2) @ np.linalg.solve(gram, np.ones(2)))
+
+    def test_near_antipodal_clients_certify(self):
+        # the step halved every 25 iterations down to 0.0 here once a halving had fired
+        ds, closed = self._two_clients(0.3905020859810673, 0.9005169458510548,
+                                       -0.979268164315292)
+        gamma, _ = compute_margin(ds)
+        assert gamma == pytest.approx(closed, abs=1e-8)
+        assert closed == pytest.approx(0.0554194, abs=1e-7)
+
+    def test_near_antipodal_sweep_certifies_quickly(self):
+        # each draw certifies within 450 iterations; the stalled step never does
+        rng = np.random.Generator(np.random.PCG64(1))
+        for _ in range(300):
+            g1, g2 = rng.uniform(0.1, 1.0, size=2)
+            ds, closed = self._two_clients(g1, g2, float(rng.uniform(-0.99, -0.9)))
+            gamma, _ = compute_margin(ds, max_iter=2000)
+            assert gamma == pytest.approx(closed, abs=1e-8)
+
     def test_exhausted_budget_reports_estimate(self, rng):
         from localgd.errors import ConvergenceError
         from conftest import separable_dataset
@@ -402,6 +433,8 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(IdxFormatError, match=re.escape(str(path))):
             load_dataset(path)
+        assert cli.main(["run", "--dataset", str(path), "--eta", "1", "--R", "1",
+                         "--out-dir", str(tmp_path / "run")]) == cli.EXIT_IO
 
     def test_booleans_outside_the_arrays_load(self, tmp_path):
         # only the array entries are held to the float rule
@@ -525,6 +558,35 @@ class TestDatasetBytes:
         back = load_dataset(path)
         assert np.signbit(back.clients[0]).tolist() == [[False, True], [True, False]]
         assert np.signbit(back.margin[1]).tolist() == [True, False]
+
+    def test_memoised_read_keeps_every_bit(self, tmp_path):
+        # both zeros, repeated tokens, and tokens of one value in other spellings
+        path = tmp_path / "ds.json"
+        path.write_text(
+            '{"format": "localgd-dataset", "version": 1, "d": 4, "M": 1, "n": 2, "clients": '
+            '[[[0.0, -0.0, 0.1, 0.1], [-0.0, 0.0, 0.10000000000000001, 1e-320]]], '
+            '"margin": {"gamma": 0.1, "w_star": [-0.0, 1E-320, 0.1, 0.0]}}')
+        with open(path) as f:
+            want = json.load(f)
+        back = load_dataset(path)
+        assert back.clients[0].tobytes() == np.array(want["clients"][0]).tobytes()
+        assert back.margin[1].tobytes() == np.array(want["margin"]["w_star"]).tobytes()
+        assert np.signbit(back.clients[0][:, :2]).tolist() == [[False, True], [True, False]]
+
+    def test_each_load_parses_its_distinct_tokens_once(self, tmp_path, monkeypatch):
+        ds = FederatedDataset(clients=[np.array([[0.5, -0.0], [0.5, 0.0]]),
+                                       np.array([[0.25, 0.5]])], d=2,
+                              margin=(0.25, np.array([0.0, 0.5])))
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path)
+        parsed = []
+        missing = data._FloatMemo.__missing__
+        monkeypatch.setattr(data._FloatMemo, "__missing__",
+                            lambda memo, token: parsed.append(token) or missing(memo, token))
+        for _ in range(2):
+            assert load_dataset(path).fingerprint() == ds.fingerprint()
+        # no memo outlives its load, so the second load parses every token again
+        assert sorted(parsed) == sorted(["0.5", "-0.0", "0.0", "0.25"] * 2)
 
     def test_golden_multi_sample_rewrites_itself(self, tmp_path):
         golden = DATA_DIR / "golden_multi_sample.json"
