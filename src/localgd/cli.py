@@ -1,8 +1,10 @@
 """Command-line front end: dataset generation, runs, sweeps, checks, envelopes.
 
-Exit codes: 0 success, 1 usage or invalid input, 2 divergence (see optim's rule;
-partial traces are still written), 3 check violation, 4 I/O or file-format
-failure. A sweep cell records the code `run` would return with the same flags.
+Exit codes: 0 success, 1 usage or invalid input (an uncertified margin, or a
+synthetic geometry whose margin cannot reach 1e-6), 2 divergence (see optim's
+rule; partial traces are still written), 3 check violation, 4 I/O or file-format
+failure (any input file json cannot read). A sweep cell records, through
+EXIT_CODES, the code `run` would return with the same flags.
 
 A sweep reads and verifies its dataset once, in the parent process, and hands
 every cell the parsed dataset, whose fingerprint load_dataset recorded. The
@@ -32,10 +34,11 @@ from .data import (
     load_dataset,
     load_mnist_idx,
     partition_heterogeneous,
+    read_json,
     save_dataset,
     write_json,
 )
-from .errors import DivergenceError, IdxFormatError
+from .errors import ConvergenceError, DegenerateGeometryError, DivergenceError, IdxFormatError
 from .optim import RoundTrace, RunConfig
 
 EXIT_OK = 0
@@ -53,21 +56,28 @@ class UsageError(Exception):
 
 
 # Exception -> exit code for `main` and for each sweep cell; the first matching
-# entry wins (JSONDecodeError, IdxFormatError and UnicodeDecodeError, a file that
-# is not UTF-8, are ValueErrors too).
+# entry wins (IdxFormatError is a ValueError too).
 EXIT_CODES = {
     UsageError: EXIT_USAGE,
     DivergenceError: EXIT_DIVERGENCE,
+    ConvergenceError: EXIT_USAGE,
     OSError: EXIT_IO,
-    json.JSONDecodeError: EXIT_IO,
     IdxFormatError: EXIT_IO,
-    UnicodeDecodeError: EXIT_IO,
     ValueError: EXIT_USAGE,
 }
 
 
 def _exit_code(err):
     return next(code for cls, code in EXIT_CODES.items() if isinstance(err, cls))
+
+
+# Each envelope kind and the flags it needs.
+ENVELOPE_FLAGS = {
+    "two-stage": ("gamma", "K", "R", "r0", "eta2"),
+    "baseline-global": ("gamma", "K", "R"),
+    "baseline-local": ("gamma", "K", "R"),
+    "gf": ("dataset", "eta", "K", "r"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,8 +201,7 @@ def build_parser():
     chk.add_argument("--out", help="write the report JSON here instead of stdout")
 
     env = sub.add_parser("envelope", help="evaluate a closed-form rate envelope")
-    env.add_argument("--kind", required=True,
-                     choices=("two-stage", "baseline-global", "baseline-local", "gf"))
+    env.add_argument("--kind", required=True, choices=tuple(ENVELOPE_FLAGS))
     env.add_argument("--gamma", type=float)
     env.add_argument("--K", type=int)
     env.add_argument("--R", type=int)
@@ -255,7 +264,11 @@ def _envelope_block(dataset, args, config):
         out["baseline_global"] = diagnostics.envelope_baseline("global", gamma, config.K, config.R)
         out["baseline_local"] = diagnostics.envelope_baseline("local", gamma, config.K, config.R)
     if args.optimizer == "local-gf" and dataset.M == 2 and dataset.one_sample_per_client:
-        tc, out["gf_constants"] = diagnostics.flow_constants(dataset, config.eta * config.K)
+        try:
+            tc, constants = diagnostics.flow_constants(dataset, config.eta * config.K)
+        except DegenerateGeometryError:  # the flow's rate constants are undefined here
+            return out
+        out["gf_constants"] = constants
         if math.isfinite(tc.tau) and config.R > tc.tau:
             out["gf_final"] = tc.envelope(config.R, "main")
     return out
@@ -370,8 +383,8 @@ def _cmd_sweep(args):
     os.makedirs(args.out_dir, exist_ok=True)
     try:
         dataset = load_dataset(args.dataset)
-    except (OSError, ValueError) as err:
-        results = [{"name": c.name, "exit": EXIT_IO, "error": str(err)} for c in cells]
+    except tuple(EXIT_CODES) as err:
+        results = [{"name": c.name, "exit": _exit_code(err), "error": str(err)} for c in cells]
     else:
         if workers > 1:
             # under fork the workers inherit the dataset; other start methods
@@ -439,8 +452,7 @@ def _typed(record):
 
 def _load_run_artifacts(path):
     """The RunResult a summary file records, and its dataset's fingerprint."""
-    with open(path) as f:
-        doc = json.load(f)
+    doc = read_json(path)
     try:
         traces = [_typed(RoundTrace(**t)) for t in doc["traces"]]
         cfg_doc = {k: v for k, v in doc["config"].items() if k not in ("optimizer", "policy")}
@@ -483,21 +495,16 @@ def _cmd_check(args):
 
 
 def _cmd_envelope(args):
+    for flag in ENVELOPE_FLAGS[args.kind]:
+        if getattr(args, flag) is None:
+            raise UsageError(f"envelope --kind {args.kind} needs --{flag}")
     if args.kind == "two-stage":
-        for flag in ("gamma", "K", "R", "r0", "eta2"):
-            if getattr(args, flag) is None:
-                raise UsageError(f"envelope --kind two-stage needs --{flag}")
         value = diagnostics.envelope_two_stage(args.eta2, args.gamma, args.K, args.R, args.r0)
         doc = {"kind": args.kind, "value": value}
     elif args.kind in ("baseline-global", "baseline-local"):
-        for flag in ("gamma", "K", "R"):
-            if getattr(args, flag) is None:
-                raise UsageError(f"envelope --kind {args.kind} needs --{flag}")
         value = diagnostics.envelope_baseline(args.kind.split("-")[1], args.gamma, args.K, args.R)
         doc = {"kind": args.kind, "value": value}
     else:
-        if args.dataset is None or args.eta is None or args.K is None or args.r is None:
-            raise UsageError("envelope --kind gf needs --dataset, --eta, --K and --r")
         tc, constants = diagnostics.flow_constants(load_dataset(args.dataset), args.eta * args.K)
         value = tc.envelope(args.r, variant=args.variant)
         doc = {"kind": args.kind, "variant": args.variant, "value": value,
@@ -513,8 +520,7 @@ def _apply_config_file(argv):
     path = finder.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv
-    with open(path) as f:
-        entries = json.load(f)
+    entries = read_json(path)
     if not isinstance(entries, dict):
         raise UsageError("config file must hold a JSON object")
     tokens = []

@@ -31,6 +31,7 @@ __all__ = [
     "compute_margin",
     "save_dataset",
     "write_json",
+    "read_json",
     "load_dataset",
 ]
 
@@ -101,7 +102,10 @@ class FederatedDataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Two-client, one-sample geometry: direction spread delta, norm ratio g."""
+    """Two-client, one-sample geometry: direction spread delta, norm ratio g. Its margin is
+    at most min(1/g, 2*delta/((1+g)*sqrt(1+delta^2))), the second client's norm and that of
+    the clients' convex combination on the symmetry axis; below 1e-6 the solver gives up, so
+    such a geometry is refused at once."""
 
     delta: float
     g: float
@@ -111,6 +115,10 @@ class SyntheticSpec:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 1 <= self.g < math.inf:
             raise ValueError(f"g must be finite and >= 1, got {self.g}")
+        bound = min(1.0 / self.g, 2.0 * (self.delta / math.hypot(1.0, self.delta)) / (1.0 + self.g))
+        if bound < 1e-6:
+            raise ValueError(f"delta = {self.delta} and g = {self.g} give a margin of at most "
+                             f"{bound:.3g}, below the 1e-6 the margin solver can certify")
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,10 @@ def gen_synthetic(spec: SyntheticSpec) -> FederatedDataset:
     Client directions are (1, delta)/s and (-1, delta)/s with s = sqrt(1+d^2),
     norms 1 and 1/g; their inner product is (delta^2-1)/(delta^2+1).
     """
-    s = math.sqrt(1.0 + spec.delta**2)
+    try:
+        s = math.sqrt(1.0 + spec.delta**2)
+    except OverflowError:  # delta^2 past the float range, where s rounds to delta
+        s = math.hypot(1.0, spec.delta)
     w1 = np.array([1.0 / s, spec.delta / s])
     w2 = np.array([-1.0 / s, spec.delta / s])
     x1 = 1.0 * w1
@@ -288,7 +299,7 @@ def _margin_solver(Z, tol, max_iter):
         gv = gram_mv(v)
         nrm = np.linalg.norm(gv)
         if nrm == 0.0:
-            raise SeparabilityError("all folded points are zero")
+            raise SeparabilityError("the folded points sum to zero numerically (Z Z^T 1 = 0)")
         v = gv / nrm
     lip = float(v @ gram_mv(v)) * 1.01
     step = 1.0 / lip
@@ -465,6 +476,18 @@ def write_json(path, doc):
         f.write("\n")
 
 
+def read_json(path, parse_float=None):
+    """The JSON document in the file at ``path``, floats through ``parse_float``. Whatever
+    ``json`` cannot decode (text that is not JSON or not UTF-8, nesting past the recursion
+    limit, an integer past Python's digit limit) raises IdxFormatError naming the file."""
+    with open(path) as f:
+        try:
+            return json.load(f, parse_float=parse_float)
+        except (ValueError, RecursionError) as err:
+            raise IdxFormatError(f"{path}: not a readable JSON file "
+                                 f"({type(err).__name__}: {err})") from None
+
+
 def _floats(values, shape):
     """``values`` as a float64 array of ``shape``; another shape, or an entry that is not a
     finite JSON float (an integer, a boolean, null or a string), is a ValueError. An empty
@@ -497,16 +520,15 @@ class _FloatMemo(dict):
 def load_dataset(path) -> FederatedDataset:
     """Read a dataset snapshot written by save_dataset, verifying its format.
 
-    A file that parses as JSON but is not a well-formed snapshot (wrong format
-    or version, missing keys, a ``d`` that is not a JSON integer, an ``M`` or
-    ``n`` other than the one save_dataset writes for the clients, an array of
-    the wrong shape such as a row that is not ``d`` entries long or a ``w_star``
-    that is not, an entry that is not a finite float such as an integer or a
-    boolean, no clients or a client with no rows, a fingerprint that does not
-    match the payload) raises IdxFormatError.
+    A file that ``read_json`` cannot decode, or one that is not a well-formed
+    snapshot (wrong format or version, missing keys, a ``d`` that is not a JSON
+    integer, an ``M`` or ``n`` other than the one save_dataset writes for the
+    clients, an array of the wrong shape such as a row that is not ``d`` entries
+    long or a ``w_star`` that is not, an entry that is not a finite float such as
+    an integer or a boolean, no clients or a client with no rows, a fingerprint
+    that does not match the payload) raises IdxFormatError.
     """
-    with open(path) as f:
-        doc = json.load(f, parse_float=_FloatMemo().__getitem__)
+    doc = read_json(path, parse_float=_FloatMemo().__getitem__)
     if (not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT
             or doc.get("version") != DATASET_VERSION):
         raise IdxFormatError(f"{path}: not a version-{DATASET_VERSION} dataset file")

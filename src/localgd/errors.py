@@ -36,7 +36,8 @@ class SeparabilityError(LocalGDError, ValueError):
 
 class IdxFormatError(LocalGDError, ValueError):
     """An input file is malformed: an IDX file (the message names the offending
-    byte offset), a dataset snapshot or a run summary."""
+    byte offset), a JSON file ``json`` cannot decode, a dataset snapshot or a run
+    summary."""
 
 
 class DomainError(LocalGDError, ValueError):

@@ -37,6 +37,8 @@ IMAGES, LABELS = "images-idx3-ubyte", "labels-idx1-ubyte"
 # SYN with the first client's row removed, unsigned so that the empty client, not the fingerprint,
 # is what load_dataset refuses
 EMPTY_CLIENT = "empty_client.json"
+# arrays nested past Python's recursion limit, which json cannot decode
+DEEP = "deep.json"
 # --config files: a run's R and eta, and a sweep whose grids are JSON lists
 CONFIGS = {
     "run_config.json": {"R": 30, "eta": 2},
@@ -204,6 +206,18 @@ COMMANDS = [
     (_run("refused", "--optimizer", "two-stage", "--policy", "two-stage", "--lambda", "inf",
           "--K", "4", "--R", "10"), {}),
     (_run("refused", "--eta", "1", "--R", "3", dataset=EMPTY_CLIENT), {}),
+    # a dataset json cannot decode exits 4 in `run` and in every sweep cell
+    (_run("refused", "--eta", "1", "--R", "3", dataset=DEEP), {}),
+    (["sweep", "--dataset", DEEP, "--eta", "1", "--R", "3", "--K-grid", "1,2",
+      "--out-dir", "sweep_deep"], {"LOCALGD_THREADS": "1"}),
+    # delta^2 overflows, yet the geometry is fine (exit 0); g = 1e7 bounds the margin
+    # by 1e-7, refused before the solver runs (exit 1)
+    (["gen-data", "synthetic", "--delta", "1e200", "--g", "1", "--out", "wide.json"], {}),
+    (["gen-data", "synthetic", "--delta", "1", "--g", "1e7", "--out", "refused.json"], {}),
+    # a flow whose rate constants are undefined (eta K gamma^2 underflows): both artifacts,
+    # the summary without gf_constants
+    (_run("flow", "--optimizer", "local-gf", "--eta", "5e-324", "--K", "1", "--R", "4",
+          name="tiny_eta"), {}),
 ]
 
 
@@ -264,6 +278,7 @@ def prepare(root):
     del doc["fingerprint"]
     doc.update(clients=[[], doc["clients"][1]], n=[0, 1])
     (root / EMPTY_CLIENT).write_text(json.dumps(doc))
+    (root / DEEP).write_text("[" * 100_000 + "]" * 100_000)
 
 
 def main():

@@ -7,8 +7,9 @@ import shlex
 import numpy as np
 import pytest
 
-from localgd import cli, optim
+from localgd import cli, data, optim
 from localgd.data import FederatedDataset, compute_margin, save_dataset
+from localgd.errors import ConvergenceError
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -49,6 +50,24 @@ class TestGenData:
                          "--out", str(out)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("1", "1e7"), ("1", "1e300"), ("1e-200", "1"), ("1e-6", "5")],
+                             ids=lambda f: f"delta={f[0]},g={f[1]}")
+    def test_synthetic_refuses_margin_below_solver_floor(self, tmp_path, capsys, no_solver, flags):
+        out = tmp_path / "syn.json"
+        assert cli.main(["gen-data", "synthetic", "--delta", flags[0], "--g", flags[1],
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: delta = ")
+        assert not out.exists()
+
+    def test_uncertified_margin_is_invalid_input(self, tmp_path, capsys, monkeypatch):
+        def solver(*_args):
+            raise ConvergenceError("margin not certified", estimate=(0.1, 0.2))
+
+        monkeypatch.setattr(data, "_margin_solver", solver)
+        assert cli.main(["gen-data", "synthetic", "--delta", "0.1", "--g", "5",
+                         "--out", str(tmp_path / "syn.json")]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: margin not certified\n"
 
     def test_mnist_partition_file(self, tmp_path, rng):
         from test_data import write_idx_pair
@@ -210,6 +229,15 @@ class TestRun:
         row = first.split(",")
         L = row[cols.index("L")]
         assert L != "" and float(L) > 0
+
+    def test_flow_with_undefined_constants_keeps_its_summary(self, synthetic_file, tmp_path):
+        # eta K gamma^2 underflows to 0: the summary omits the flow constants and the run passes
+        code = cli.main(["run", "--dataset", str(synthetic_file), "--optimizer", "local-gf",
+                         "--eta", "5e-324", "--K", "1", "--R", "3", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "run.csv").exists()
+        envelopes = json.loads((tmp_path / "run.json").read_text())["envelopes"]
+        assert list(envelopes) == ["gamma"]
 
     def test_large_stepsize_instability_recorded(self, synthetic_file, tmp_path):
         import math
@@ -626,12 +654,26 @@ class TestExitCodes:
         ["run", "--dataset", "BAD", "--eta", "1", "--R", "3", "--out-dir", "OUT"],
         ["run", "--config", "BAD", "--dataset", "GOOD", "--eta", "1", "--R", "3", "--out-dir", "OUT"],
         ["check", "--run", "BAD", "--dataset", "GOOD"],
+        ["envelope", "--kind", "gf", "--dataset", "BAD", "--eta", "1", "--K", "2", "--r", "3"],
+        ["sweep", "--dataset", "BAD", "--eta", "1", "--R", "3", "--K-grid", "1,2", "--out-dir", "OUT"],
     ])
-    def test_file_that_is_not_utf8_is_format_error(self, synthetic_file, tmp_path, argv):
+    def test_file_that_is_not_utf8_is_format_error(self, synthetic_file, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        # and every other text json cannot decode: nesting past the recursion limit, an
+        # integer past the digit limit; one error line, no traceback, and each sweep cell
+        # records the code run returns
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
         bad = tmp_path / "bad.json"
-        bad.write_bytes(b"\xff\xfe")
-        paths = {"BAD": bad, "GOOD": synthetic_file, "OUT": tmp_path / "run"}
-        assert cli.main([str(paths.get(a, a)) for a in argv]) == cli.EXIT_IO
+        for payload in (b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000, b"9" * 5000):
+            bad.write_bytes(payload)
+            paths = {"BAD": bad, "GOOD": synthetic_file, "OUT": tmp_path / "run"}
+            assert cli.main([str(paths.get(a, a)) for a in argv]) == cli.EXIT_IO, payload[:4]
+            err = capsys.readouterr().err
+            if argv[0] == "sweep":
+                cells = json.loads((tmp_path / "run/index.json").read_text())["cells"]
+                assert [c["exit"] for c in cells] == [cli.EXIT_IO] * 2
+                err += f"error: {cells[0]['error']}\n"
+            assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
 
     def test_non_numeric_entry_is_format_error(self, synthetic_file, tmp_path):
         # without a fingerprint only the entry check stands between null and NaN

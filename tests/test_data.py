@@ -106,6 +106,17 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="finite"):
             SyntheticSpec(delta=delta, g=g)
 
+    @pytest.mark.parametrize("delta,g", [(0.1, 5), (1.0, 5), (10.0, 1), (3.0, 1.5), (0.5, 2),
+                                         (1e-3, 1), (1.0, 1e5)])
+    def test_margin_lies_below_the_spec_bound(self, delta, g):
+        gamma, _ = compute_margin(gen_synthetic(SyntheticSpec(delta=delta, g=g)))
+        bound = min(1 / g, 2 * delta / ((1 + g) * math.sqrt(1 + delta**2)))
+        assert 0.9 * bound <= gamma <= bound * (1 + 1e-9)
+
+    def test_delta_squared_past_the_float_range(self):
+        ds = gen_synthetic(SyntheticSpec(delta=1e200, g=2))
+        np.testing.assert_array_equal(ds.all_points(), [[1e-200, 1.0], [-0.5e-200, 0.5]])
+
 
 def write_idx_pair(tmp_path, images, labels):
     """Write an (images, labels) IDX file pair; images is (n, rows, cols) uint8."""
@@ -372,7 +383,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="fingerprint"):
             load_dataset(path)
         path.write_text("{not json")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(IdxFormatError, match="not a readable JSON file"):
             load_dataset(path)
 
     MALFORMED = {
