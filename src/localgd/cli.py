@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -38,7 +38,7 @@ from .data import (
     save_dataset,
     write_json,
 )
-from .errors import ConvergenceError, DegenerateGeometryError, DivergenceError, IdxFormatError
+from .errors import ConvergenceError, DivergenceError, IdxFormatError
 from .optim import RoundTrace, RunConfig
 
 EXIT_OK = 0
@@ -222,8 +222,6 @@ def _resolve_policy(args):
         eta=args.eta, eta1=args.eta1, eta2=args.eta2, r0=args.r0,
     )
     if args.optimizer == "two-stage":
-        if policy.kind in ("small", "large"):
-            raise UsageError("two-stage optimizer needs a two-stage or explicit policy")
         if policy.eta1 is None or policy.eta2 is None or policy.r0 is None:
             raise UsageError("two-stage runs need eta1, eta2 and r0 (or --policy two-stage --lambda)")
         return {"eta1": policy.eta1, "eta2": policy.eta2, "r0": policy.r0}
@@ -250,27 +248,24 @@ def _run_config(args):
 
 
 def _envelope_block(dataset, args, config):
-    """Envelope values relevant to this run; entries are None when inapplicable."""
-    out = {}
-    gamma = dataset.margin[0] if dataset.margin else None
-    if gamma is None:
-        return out
-    out["gamma"] = gamma
-    if args.optimizer == "two-stage" and config.R > config.r0:
-        out["two_stage_final"] = diagnostics.envelope_two_stage(
-            config.eta2, gamma, config.K, config.R, config.r0
-        )
+    """The certified gamma and the envelopes of the run's optimizer, leaving out each one whose
+    function refuses the run's values with a ValueError (r0 >= R, clients other than two with one
+    sample each or antipodal ones, R not past tau, a denominator that underflows to 0)."""
+    if not dataset.margin:
+        return {}
+    gamma, K, R = dataset.margin[0], config.K, config.R
+    out = {"gamma": gamma}
+    if args.optimizer == "two-stage":
+        with contextlib.suppress(ValueError):
+            out["two_stage_final"] = diagnostics.envelope_two_stage(config.eta2, gamma, K, R, config.r0)
     if args.optimizer == "local-gd":
-        out["baseline_global"] = diagnostics.envelope_baseline("global", gamma, config.K, config.R)
-        out["baseline_local"] = diagnostics.envelope_baseline("local", gamma, config.K, config.R)
-    if args.optimizer == "local-gf" and dataset.M == 2 and dataset.one_sample_per_client:
-        try:
-            tc, constants = diagnostics.flow_constants(dataset, config.eta * config.K)
-        except DegenerateGeometryError:  # the flow's rate constants are undefined here
-            return out
-        out["gf_constants"] = constants
-        if math.isfinite(tc.tau) and config.R > tc.tau:
-            out["gf_final"] = tc.envelope(config.R, "main")
+        for kind in ("global", "local"):
+            with contextlib.suppress(ValueError):
+                out[f"baseline_{kind}"] = diagnostics.envelope_baseline(kind, gamma, K, R)
+    if args.optimizer == "local-gf":
+        with contextlib.suppress(ValueError):  # gf_constants stays where gf_final is undefined
+            tc, out["gf_constants"] = diagnostics.flow_constants(dataset, config.eta * K)
+            out["gf_final"] = tc.envelope(R, "main")
     return out
 
 
@@ -498,17 +493,15 @@ def _cmd_envelope(args):
     for flag in ENVELOPE_FLAGS[args.kind]:
         if getattr(args, flag) is None:
             raise UsageError(f"envelope --kind {args.kind} needs --{flag}")
+    doc = {"kind": args.kind}
     if args.kind == "two-stage":
-        value = diagnostics.envelope_two_stage(args.eta2, args.gamma, args.K, args.R, args.r0)
-        doc = {"kind": args.kind, "value": value}
+        doc["value"] = diagnostics.envelope_two_stage(args.eta2, args.gamma, args.K, args.R, args.r0)
     elif args.kind in ("baseline-global", "baseline-local"):
-        value = diagnostics.envelope_baseline(args.kind.split("-")[1], args.gamma, args.K, args.R)
-        doc = {"kind": args.kind, "value": value}
+        doc["value"] = diagnostics.envelope_baseline(args.kind.split("-")[1], args.gamma, args.K, args.R)
     else:
         tc, constants = diagnostics.flow_constants(load_dataset(args.dataset), args.eta * args.K)
-        value = tc.envelope(args.r, variant=args.variant)
-        doc = {"kind": args.kind, "variant": args.variant, "value": value,
-               "constants": constants}
+        doc.update(variant=args.variant, value=tc.envelope(args.r, variant=args.variant),
+                   constants=constants)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 

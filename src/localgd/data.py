@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 import struct
 from dataclasses import dataclass, field
 
@@ -525,8 +526,8 @@ def load_dataset(path) -> FederatedDataset:
     integer, an ``M`` or ``n`` other than the one save_dataset writes for the
     clients, an array of the wrong shape such as a row that is not ``d`` entries
     long or a ``w_star`` that is not, an entry that is not a finite float such as
-    an integer or a boolean, no clients or a client with no rows, a fingerprint
-    that does not match the payload) raises IdxFormatError.
+    an integer or a boolean, a margin gamma outside (0, 1], no clients or a client
+    with no rows, a fingerprint that does not match the payload) raises IdxFormatError.
     """
     doc = read_json(path, parse_float=_FloatMemo().__getitem__)
     if (not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT
@@ -535,17 +536,20 @@ def load_dataset(path) -> FederatedDataset:
     try:
         d = doc["d"]
         if type(d) is not int or d < 1:
-            raise ValueError(f"d = {d!r}")
+            raise ValueError(f"d = {reprlib.repr(d)}")
         clients = [_floats(Z, (len(Z), d)) for Z in doc["clients"]]
         margin = None
         if doc.get("margin"):
             margin = (float(_floats(doc["margin"]["gamma"], ())),
                       _floats(doc["margin"]["w_star"], (d,)))
+            if not 0.0 < margin[0] <= 1.0:  # every row has norm at most 1
+                raise ValueError(f"margin gamma = {margin[0]!r}, outside (0, 1]")
         ds = FederatedDataset(clients=clients, d=d, margin=margin)
         payload = _dataset_payload(ds)
         for key in ("M", "n"):
             if json.dumps(doc[key]) != json.dumps(payload[key]):
-                raise ValueError(f"{key} = {doc[key]!r}, but the clients give {payload[key]!r}")
+                raise ValueError(f"{key} = {reprlib.repr(doc[key])}, "
+                                 f"but the clients give {reprlib.repr(payload[key])}")
     except (KeyError, TypeError, ValueError) as err:
         raise IdxFormatError(f"{path}: malformed dataset file ({type(err).__name__}: {err})") from None
     ds.file_fingerprint = ds.fingerprint()

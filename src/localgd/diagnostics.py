@@ -320,14 +320,21 @@ def _check_envelope_args(gamma, K, R):
         raise ValueError(f"need gamma in (0, 1] and K, R >= 1, got {gamma}, {K} and {R}")
 
 
+def _nonzero(denominator, formula):
+    """``denominator``, or a ValueError naming ``formula`` where it underflows to 0."""
+    if denominator == 0.0:
+        raise ValueError(f"{formula} underflows to 0; the envelope is undefined")
+    return denominator
+
+
 def envelope_two_stage(eta2, gamma, K, R, r0) -> float:
-    """Final-loss bound 2/(eta2 * gamma^2 * K * (R - r0)) of the two-stage rate."""
+    """Final-loss bound 2/(eta2*gamma^2*K*(R - r0)) of the two-stage rate; ValueError if undefined."""
     _check_envelope_args(gamma, K, R)
     if not (eta2 > 0 and math.isfinite(eta2)):
         raise ValueError(f"eta2 must be positive and finite, got {eta2}")
     if not 0 <= r0 < R:
         raise ValueError(f"r0 must lie in [0, R) = [0, {R}), got {r0}")
-    return 2.0 / (eta2 * gamma**2 * K * (R - r0))
+    return 2.0 / _nonzero(eta2 * gamma**2 * K * (R - r0), "eta2 * gamma^2 * K * (R - r0)")
 
 
 def envelope_baseline(kind, gamma, K, R) -> float:
@@ -336,18 +343,18 @@ def envelope_baseline(kind, gamma, K, R) -> float:
     kind="global": (2 + plog(K*R*g^2)^2)/(K*R*g^2)
                    + (2 + plog(R^(2/3)*g^(4/3))^(4/3))/(R^(2/3)*g^(4/3))
     kind="local":  (1 + plog(R)^2)/(g^2*R) + plog(R)^(4/3)/(g^(4/3)*R^(4/3))
-    with plog(x) = max(0, log(x)).
+    with plog(x) = max(0, log(x)); ValueError if undefined (a denominator underflows to 0).
     """
     _check_envelope_args(gamma, K, R)
     if kind == "global":
-        t1_arg = K * R * gamma**2
-        t2_arg = R ** (2.0 / 3.0) * gamma ** (4.0 / 3.0)
+        t1_arg = _nonzero(K * R * gamma**2, "K * R * gamma^2")
+        t2_arg = _nonzero(R ** (2.0 / 3.0) * gamma ** (4.0 / 3.0), "R^(2/3) * gamma^(4/3)")
         return (2.0 + _pos_log(t1_arg) ** 2) / t1_arg + (
             2.0 + _pos_log(t2_arg) ** (4.0 / 3.0)
         ) / t2_arg
     if kind == "local":
         pl = _pos_log(R)
-        return (1.0 + pl**2) / (gamma**2 * R) + pl ** (4.0 / 3.0) / (
-            gamma ** (4.0 / 3.0) * R ** (4.0 / 3.0)
+        return (1.0 + pl**2) / _nonzero(gamma**2 * R, "gamma^2 * R") + pl ** (4.0 / 3.0) / (
+            _nonzero(gamma ** (4.0 / 3.0) * R ** (4.0 / 3.0), "gamma^(4/3) * R^(4/3)")
         )
     raise ValueError(f"kind must be 'global' or 'local', got {kind!r}")

@@ -172,7 +172,6 @@ def _power_iteration(matvec, d, tol, max_iter):
                 f"power iteration did not converge in {max_iter} iterations",
                 estimate=lam_prev,
             )
-    return 0.0
 
 
 def hessian_spectral_norm(dataset, w, tol=1e-8, max_iter=10000):

@@ -403,8 +403,6 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
     method = config.gf_method
     if method == "auto":
         method = "exact" if n1 else "numeric"
-    if method == "exact" and not n1:
-        raise ValueError("exact local gradient flow needs one sample per client")
 
     M = dataset.M
     w = _initial_weights(dataset, config)

@@ -186,14 +186,12 @@ class GfState:
 
 def make_gf_state(gammas, directions, etaK, a=None) -> GfState:
     """Assemble a GfState, computing the Gram matrix of the unit vectors
-    ``directions`` and the surrogates at etaK."""
+    ``directions`` and the surrogates at etaK (which refuse a gamma that is not > 0)."""
     gammas = np.asarray(gammas, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
     M = gammas.shape[0]
     if directions.shape[0] != M:
         raise ValueError("gammas and directions disagree on the client count")
-    if np.any(gammas <= 0):
-        raise ValueError("all gammas must be positive")
     gram = directions @ directions.T
     if a is None:
         a = np.zeros(M)

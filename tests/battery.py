@@ -39,6 +39,9 @@ IMAGES, LABELS = "images-idx3-ubyte", "labels-idx1-ubyte"
 EMPTY_CLIENT = "empty_client.json"
 # arrays nested past Python's recursion limit, which json cannot decode
 DEEP = "deep.json"
+# SYN with its stored margin set to 2.0, past the norm bound 1 of every row; the fingerprint
+# covers only the clients, so it still matches
+GAMMA_2 = "gamma_2.json"
 # --config files: a run's R and eta, and a sweep whose grids are JSON lists
 CONFIGS = {
     "run_config.json": {"R": 30, "eta": 2},
@@ -218,6 +221,16 @@ COMMANDS = [
     # the summary without gf_constants
     (_run("flow", "--optimizer", "local-gf", "--eta", "5e-324", "--K", "1", "--R", "4",
           name="tiny_eta"), {}),
+    # envelopes whose denominators underflow to 0: exit 1; a two-stage run whose envelope
+    # does: both artifacts, the summary without two_stage_final
+    (["envelope", "--kind", "baseline-global", "--gamma", "1e-300", "--K", "1", "--R", "1"], {}),
+    (["envelope", "--kind", "baseline-local", "--gamma", "1e-300", "--K", "1", "--R", "1"], {}),
+    (["envelope", "--kind", "two-stage", "--gamma", "1e-200", "--eta2", "1e-200", "--K", "1",
+      "--R", "2", "--r0", "0"], {}),
+    (_run("numpy", "--optimizer", "two-stage", "--eta1", "1", "--eta2", "5e-324", "--r0", "1",
+          "--R", "3", name="tiny_eta2"), {}),
+    # a stored margin outside (0, 1]: exit 4
+    (_run("refused", "--eta", "1", "--R", "3", dataset=GAMMA_2), {}),
 ]
 
 
@@ -279,6 +292,9 @@ def prepare(root):
     doc.update(clients=[[], doc["clients"][1]], n=[0, 1])
     (root / EMPTY_CLIENT).write_text(json.dumps(doc))
     (root / DEEP).write_text("[" * 100_000 + "]" * 100_000)
+    doc = json.loads((DATA_DIR / SYN).read_text())
+    doc["margin"]["gamma"] = 2.0
+    (root / GAMMA_2).write_text(json.dumps(doc))
 
 
 def main():

@@ -231,11 +231,33 @@ class TestRun:
         assert L != "" and float(L) > 0
 
     def test_flow_with_undefined_constants_keeps_its_summary(self, synthetic_file, tmp_path):
-        # eta K gamma^2 underflows to 0: the summary omits the flow constants and the run passes
-        code = cli.main(["run", "--dataset", str(synthetic_file), "--optimizer", "local-gf",
-                         "--eta", "5e-324", "--K", "1", "--R", "3", "--out-dir", str(tmp_path)])
+        # eta K gamma^2 underflows to 0, and for two-stage eta2 gamma^2 K (R - r0): the summary
+        # omits the flow constants or two_stage_final, and the run passes
+        for i, flags in enumerate([["--optimizer", "local-gf", "--eta", "5e-324", "--K", "1"],
+                                   ["--optimizer", "two-stage", "--eta1", "1", "--eta2", "5e-324",
+                                    "--r0", "1"]]):
+            out = tmp_path / str(i)
+            code = cli.main(["run", "--dataset", str(synthetic_file), *flags, "--R", "3",
+                             "--out-dir", str(out)])
+            assert code == 0
+            assert (out / "run.csv").exists()
+            envelopes = json.loads((out / "run.json").read_text())["envelopes"]
+            assert list(envelopes) == ["gamma"]
+
+    @pytest.mark.parametrize("clients", [
+        [[[1.0, 0.0]], [[0.8, 0.3]], [[0.9, -0.2]]],
+        [[[1.0, 0.0], [0.7, 0.2]], [[0.9, 0.1], [0.8, -0.3]]],
+    ], ids=["three-one-sample-clients", "multi-sample"])
+    def test_flow_summary_without_two_one_sample_clients_has_no_flow_constants(self, tmp_path,
+                                                                                clients):
+        ds = FederatedDataset(clients=[np.array(Z) for Z in clients], d=2)
+        compute_margin(ds)
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path)
+        code = cli.main(["run", "--dataset", str(path), "--optimizer", "local-gf",
+                         "--gf-substeps", "20", "--eta", "1", "--K", "1", "--R", "3",
+                         "--out-dir", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "run.csv").exists()
         envelopes = json.loads((tmp_path / "run.json").read_text())["envelopes"]
         assert list(envelopes) == ["gamma"]
 
@@ -455,6 +477,9 @@ class TestSweep:
         monkeypatch.setenv("LOCALGD_THREADS", "1")
         cases = (["--policy", "two-stage", "--K", "2"],
                  ["--eta", "1", "--K", "0"],
+                 # one stepsize cannot drive two stages
+                 ["--optimizer", "two-stage", "--policy", "small", "--K", "2"],
+                 ["--optimizer", "two-stage", "--policy", "large", "--K", "2"],
                  ["--optimizer", "two-stage", "--eta1", "0.2", "--eta2", "3", "--r0", "5",
                   "--K", "2"],
                  # runs that have no iterate average refuse to write one
@@ -675,6 +700,20 @@ class TestExitCodes:
                 err += f"error: {cells[0]['error']}\n"
             assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("key", ["d", "M", "n"])
+    def test_malformed_dataset_message_abbreviates_the_value(self, synthetic_file, tmp_path,
+                                                            capsys, key):
+        # a value nested 900 deep, which json still decodes, is shown a few levels deep
+        doc = json.loads(synthetic_file.read_text())
+        doc[key] = json.loads("[" * 900 + "]" * 900)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", "--dataset", str(path), "--eta", "1", "--R", "3",
+                         "--out-dir", str(tmp_path / "run")])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{key} = [[[" in err and err.count("\n") == 1 and len(err) < 200, err
+
     def test_non_numeric_entry_is_format_error(self, synthetic_file, tmp_path):
         # without a fingerprint only the entry check stands between null and NaN
         doc = json.loads(synthetic_file.read_text())
@@ -701,6 +740,17 @@ class TestExitCodes:
         assert cli.main(["envelope", "--kind", "two-stage",
                          *(t for item in args.items() for t in item)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "baseline-global", "--gamma", "1e-300", "--K", "1", "--R", "1"],
+        ["--kind", "baseline-local", "--gamma", "1e-300", "--K", "1", "--R", "1"],
+        ["--kind", "two-stage", "--gamma", "1e-200", "--eta2", "1e-200", "--K", "1",
+         "--R", "2", "--r0", "0"],
+    ], ids=lambda flags: flags[1])
+    def test_envelope_whose_denominator_underflows_is_refused(self, flags, capsys):
+        assert cli.main(["envelope", *flags]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "underflows to 0" in err and err.count("\n") == 1
 
     def test_envelope_gf_kind(self, synthetic_file, capsys):
         code = cli.main(["envelope", "--kind", "gf", "--dataset", str(synthetic_file),

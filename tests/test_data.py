@@ -411,6 +411,10 @@ class TestSerialization:
         "long-w_star": lambda doc: doc["margin"]["w_star"].append(0.0),
         "nested-w_star": lambda doc: doc["margin"].update(w_star=_nest(doc["margin"]["w_star"])),
         "list-gamma": lambda doc: doc["margin"].update(gamma=[doc["margin"]["gamma"]]),
+        # every row has norm at most 1, so a certified margin lies in (0, 1]
+        "gamma-above-1": lambda doc: doc["margin"].update(gamma=2.0),
+        "negative-gamma": lambda doc: doc["margin"].update(gamma=-0.5),
+        "zero-gamma": lambda doc: doc["margin"].update(gamma=0.0),
         # np.array makes a boolean beside a number 1.0 or 0.0
         "mixed-bool-row": lambda doc: _unsigned(doc)["clients"][0].__setitem__(0, [True, 0.5]),
         "bool-w_star": lambda doc: doc["margin"]["w_star"].__setitem__(0, False),

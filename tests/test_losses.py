@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localgd import losses
-from localgd.data import RawSample, prepare, compute_margin
+from localgd.data import FederatedDataset, RawSample, prepare, compute_margin
 from localgd.errors import ConvergenceError
 
 from conftest import random_dataset, separable_dataset
@@ -189,11 +189,17 @@ class TestHessian:
         assert losses.hessian_spectral_norm(ds, np.zeros(2)) == pytest.approx(0.25, rel=1e-8)
 
     def test_spectral_norm_single_sample_general_norm(self):
-        from localgd.data import FederatedDataset
-
         ds = FederatedDataset(clients=[np.array([[0.3, 0.4]])], d=2)
         expected = (0.3**2 + 0.4**2) / 4
         assert losses.hessian_spectral_norm(ds, np.zeros(2)) == pytest.approx(expected, rel=1e-8)
+
+    def test_spectral_norm_when_the_all_ones_start_is_annihilated(self):
+        # z is orthogonal to (1, 1), so the first start vector maps to 0 and the second,
+        # e_1, finds the top eigenvalue ell''(0) * ||z||^2 = 0.25 * 0.5
+        ds = FederatedDataset(clients=[np.array([[0.5, -0.5]])], d=2)
+        assert losses.hessian_spectral_norm(ds, np.zeros(2)) == pytest.approx(0.125, rel=1e-12)
+        assert losses.client_hessian_spectral_norm(ds, 0, np.zeros(2)) == pytest.approx(
+            0.125, rel=1e-12)
 
     def test_spectral_norm_never_exceeds_quarter(self, rng):
         for _ in range(10):

@@ -500,6 +500,11 @@ def _state(gammas, c, etaK, a=None):
 
 
 class TestGfRound:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    def test_state_refuses_a_gamma_that_is_not_positive(self, gamma):
+        with pytest.raises(ValueError, match="positive"):
+            _state([0.5, gamma], 0.3, 1.0)
+
     def test_single_client_reduces_to_flow(self):
         state = specialfn.make_gf_state(
             np.array([1.0]), np.array([[1.0, 0.0]]), math.e
