@@ -106,6 +106,16 @@ def _comma_list(noun, convert=str, choices=None, empty_is_none=True):
 _check_names = _comma_list("check", str.strip, diagnostics.RUN_CHECKS)
 
 
+def _count(text):
+    """argparse type of a count flag: an integer of at most optim.COUNT_MAX."""
+    if (value := int(text)) > optim.COUNT_MAX:
+        raise argparse.ArgumentTypeError("must be at most 2^63 - 1, the largest count")
+    return value
+
+
+_count.__name__ = "int"  # argparse's message for text int() refuses: "invalid int value: 'x'"
+
+
 def _fmt(x):
     return "" if x is None else f"{x:.17g}"
 
@@ -140,19 +150,19 @@ def _add_run_flags(p, command, required=True):
     p.add_argument("--dataset", required=required, help="dataset JSON file")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="local-gd")
     p.add_argument("--policy", choices=POLICIES, default="explicit")
-    p.add_argument("--R", type=int, required=required)
-    p.add_argument("--K", type=int, default=1)
+    p.add_argument("--R", type=_count, required=required)
+    p.add_argument("--K", type=_count, default=1)
     p.add_argument("--H", type=float, default=0.25)
     p.add_argument("--eta", type=float)
     p.add_argument("--eta1", type=float)
     p.add_argument("--eta2", type=float)
-    p.add_argument("--r0", type=int)
+    p.add_argument("--r0", type=_count)
     p.add_argument("--lambda", dest="lam", type=float, help="two-stage r0 = floor(lambda*K)")
     p.add_argument("--averaging", choices=optim.AVERAGING_MODES, default="final_iterate")
-    p.add_argument("--gf-substeps", type=int, default=1000)
+    p.add_argument("--gf-substeps", type=_count, default=1000)
     p.add_argument("--gf-method", choices=optim.GF_METHODS, default="auto")
     p.add_argument("--engine", choices=optim.ENGINES, default="numpy")
-    p.add_argument("--trace-every", type=int, default=1)
+    p.add_argument("--trace-every", type=_count, default=1)
     p.add_argument("--w0", type=_comma_list("number", float),
                    help="comma-separated initial weights (default: zeros)")
     p.add_argument("--seed", type=int)
@@ -164,7 +174,7 @@ def _add_run_flags(p, command, required=True):
     p.add_argument("--name", default="run", help="basename for output files")
     p.add_argument("--config", help="JSON file with defaults for these flags")
     if command == "sweep":
-        p.add_argument("--K-grid", type=_comma_list("integer", int, empty_is_none=False),
+        p.add_argument("--K-grid", type=_comma_list("integer", _count, empty_is_none=False),
                        help="comma-separated K values (overrides --K)")
         p.add_argument("--policy-grid", type=_comma_list("policy", str.strip, POLICIES),
                        help="comma-separated policies (overrides --policy)")
@@ -203,9 +213,9 @@ def build_parser():
     env = sub.add_parser("envelope", help="evaluate a closed-form rate envelope")
     env.add_argument("--kind", required=True, choices=tuple(ENVELOPE_FLAGS))
     env.add_argument("--gamma", type=float)
-    env.add_argument("--K", type=int)
-    env.add_argument("--R", type=int)
-    env.add_argument("--r0", type=int)
+    env.add_argument("--K", type=_count)
+    env.add_argument("--R", type=_count)
+    env.add_argument("--r0", type=_count)
     env.add_argument("--eta2", type=float)
     env.add_argument("--eta", type=float)
     env.add_argument("--r", type=float)

@@ -4,7 +4,7 @@ Each check turns an inequality the analysis proves into a measurement on a
 completed run and reports slack (bound minus quantity) rather than bare
 pass/fail, so regressions surface as shrinking slack before they become
 violations. Loss-scale comparisons use an absolute tolerance of 1e-9; Hessian
-norms, which come out of an iterative solver, use 1e-8 relative.
+norms use 1e-8 relative.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ __all__ = [
 AVERAGING_MODES = ("final_iterate", "uniform_average")
 ENGINES = ("numpy", "margin")
 GF_METHODS = ("auto", "exact", "numeric")
+COUNT_MAX = 2**63 - 1  # the largest count the C kernels' int64 arguments hold
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,9 @@ class RunConfig:
     """Round/step counts, stepsizes, and run options shared by all optimizers.
 
     eta drives local GD and local GF; (eta1, eta2, r0) drive the two-stage
-    runner; each one given must be positive and finite. trace_every > 1 thins
-    the recorded traces (round 0 and the final round are always kept) for very
-    long runs.
+    runner; each one given must be positive and finite. R, K, gf_substeps and
+    trace_every lie in [1, COUNT_MAX]. trace_every > 1 thins the recorded traces
+    (round 0 and the final round are always kept) for very long runs.
     """
 
     R: int
@@ -74,20 +75,15 @@ class RunConfig:
         for value in (self.eta, self.eta1, self.eta2):
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"stepsizes must be positive and finite, got {value}")
-        if self.R < 1:
-            raise ValueError(f"R must be >= 1, got {self.R}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        for name in ("R", "K", "gf_substeps", "trace_every"):
+            if not 1 <= getattr(self, name) <= COUNT_MAX:
+                raise ValueError(f"{name} must lie in [1, 2^63 - 1], got {getattr(self, name)}")
         if self.averaging not in AVERAGING_MODES:
             raise ValueError(f"averaging must be one of {AVERAGING_MODES}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         if self.gf_method not in GF_METHODS:
             raise ValueError(f"gf_method must be one of {GF_METHODS}")
-        if self.gf_substeps < 1:
-            raise ValueError(f"gf_substeps must be >= 1, got {self.gf_substeps}")
-        if self.trace_every < 1:
-            raise ValueError(f"trace_every must be >= 1, got {self.trace_every}")
 
 
 @dataclass

@@ -231,6 +231,14 @@ COMMANDS = [
           "--R", "3", name="tiny_eta2"), {}),
     # a stored margin outside (0, 1]: exit 4
     (_run("refused", "--eta", "1", "--R", "3", dataset=GAMMA_2), {}),
+    # counts past 2^63 - 1, which the C kernels' int64 arguments would wrap (2^64 + 4 to 4)
+    # and float conversion would overflow: exit 1
+    (_run("refused", "--engine", "margin", "--eta", "1", "--K", "18446744073709551620",
+          "--R", "300000", "--trace-every", "100000"), {}),
+    (["envelope", "--kind", "baseline-global", "--gamma", "0.5", "--K", "1" + "0" * 400,
+      "--R", "1"], {}),
+    # a start of another dimension than the dataset's: exit 1
+    (_run("refused", "--eta", "1", "--R", "3", "--w0=1,2,3"), {}),
 ]
 
 

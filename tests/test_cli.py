@@ -12,6 +12,8 @@ from localgd.data import FederatedDataset, compute_margin, save_dataset
 from localgd.errors import ConvergenceError
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+SYN = str(DATA_DIR / "golden_synthetic.json")
+HUGE = "1" + "0" * 400
 
 
 @pytest.fixture
@@ -485,7 +487,9 @@ class TestSweep:
                  # runs that have no iterate average refuse to write one
                  ["--optimizer", "two-stage", "--eta1", "0.2", "--eta2", "3", "--r0", "2",
                   "--K", "2", "--averaging", "uniform_average"],
-                 ["--optimizer", "local-gf", "--eta", "1", "--averaging", "uniform_average"])
+                 ["--optimizer", "local-gf", "--eta", "1", "--averaging", "uniform_average"],
+                 # a start of another dimension than the dataset's
+                 ["--eta", "1", "--w0=1,2,3"])
         for i, flags in enumerate(cases):
             common = ["--dataset", str(synthetic_file), "--R", "3", *flags]
             run_code = cli.main(["run", *common, "--out-dir", str(tmp_path / f"run{i}")])
@@ -630,21 +634,28 @@ class TestNotApplicable:
         assert [r["name"] for r in summary["checks"]] == ["client-drift", "gradient-bias", "stable-rate"]
         self._stable_reports_na(summary["checks"], len(summary["traces"]))
         capsys.readouterr()
-        code = cli.main(["check", "--run", str(tmp_path / "out/run.json"), "--dataset", str(self.MULTI)])
-        assert code == 0
-        reports = json.loads(capsys.readouterr().out)["reports"]
-        assert len(reports) == 5
-        self._stable_reports_na(reports, len(summary["traces"]))
+        # an empty --checks selects every applicable check, as no --checks does
+        for flags in ([], ["--checks", ""]):
+            code = cli.main(["check", "--run", str(tmp_path / "out/run.json"),
+                             "--dataset", str(self.MULTI), *flags])
+            assert code == 0
+            reports = json.loads(capsys.readouterr().out)["reports"]
+            assert len(reports) == 5, flags
+            self._stable_reports_na(reports, len(summary["traces"]))
 
     def test_named_check_without_trace_data(self, synthetic_file, tmp_path):
-        # a flow run records no drift: the named check reports every round N/A
-        code = cli.main(["run", "--dataset", str(synthetic_file), "--optimizer", "local-gf",
-                         "--eta", "1", "--K", "2", "--R", "5", "--checks", "drift",
-                         "--out-dir", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "run.csv").exists()
-        (drift,) = json.loads((tmp_path / "run.json").read_text())["checks"]
-        assert (drift["name"], drift["instances_checked"], drift["na_count"]) == ("client-drift", 0, 6)
+        # a flow run records no drift, and local GD no Lyapunov value: the named check
+        # reports every round N/A
+        for optimizer, check, name in (("local-gf", "drift", "client-drift"),
+                                       ("local-gd", "lyapunov-rate", "lyapunov-rate")):
+            out = tmp_path / optimizer
+            code = cli.main(["run", "--dataset", str(synthetic_file), "--optimizer", optimizer,
+                             "--eta", "1", "--K", "2", "--R", "5", "--checks", check,
+                             "--out-dir", str(out)])
+            assert code == 0
+            assert (out / "run.csv").exists()
+            (report,) = json.loads((out / "run.json").read_text())["checks"]
+            assert (report["name"], report["instances_checked"], report["na_count"]) == (name, 0, 6)
 
 
 class TestExitCodes:
@@ -752,6 +763,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "underflows to 0" in err and err.count("\n") == 1
 
+    # a count past 2^63 - 1 overflows float conversion, wraps in the C kernels' int64
+    # arguments, or runs without end: each count flag refuses it
+    @pytest.mark.parametrize("argv", [
+        ["envelope", "--kind", "baseline-global", "--gamma", "0.5", "--K", HUGE, "--R", "1"],
+        ["envelope", "--kind", "baseline-local", "--gamma", "0.5", "--K", "1", "--R", HUGE],
+        ["envelope", "--kind", "two-stage", "--gamma", "0.5", "--K", HUGE, "--R", "2",
+         "--r0", "1", "--eta2", "1"],
+        ["envelope", "--kind", "gf", "--dataset", SYN, "--eta", "1", "--K", HUGE, "--r", "5"],
+        ["run", "--policy", "small", "--K", HUGE],
+        ["run", "--optimizer", "local-gf", "--eta", "1", "--K", HUGE],
+        ["run", "--engine", "margin", "--eta", "1", "--K", str(2**64 + 4)],
+        ["run", "--optimizer", "local-gf", "--gf-method", "numeric", "--eta", "1",
+         "--gf-substeps", str(2**64 + 4)],
+        ["run", "--engine", "margin", "--eta", "1", "--trace-every", str(2**63)],
+        ["run", "--optimizer", "two-stage", "--eta1", "1", "--eta2", "1", "--r0", HUGE],
+        ["sweep", "--engine", "margin", "--eta", "1", "--K-grid", f"1,{2**64 + 4}"],
+    ], ids=["baseline-global-K", "baseline-local-R", "two-stage-K", "gf-K", "small-policy-K",
+            "flow-K", "margin-K", "numeric-flow-gf-substeps", "margin-trace-every",
+            "two-stage-r0", "sweep-K-grid"])
+    def test_count_past_int64_is_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] != "envelope":
+            argv = [*argv, "--dataset", SYN, "--R", "3", "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --") and err.count("\n") == 1
+        assert "at most 2^63 - 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_envelope_gf_kind(self, synthetic_file, capsys):
         code = cli.main(["envelope", "--kind", "gf", "--dataset", str(synthetic_file),
                          "--eta", "1", "--K", "4", "--r", "1e120"])
@@ -858,6 +897,9 @@ class TestExitCodes:
         assert cli.main(["run", *common, "--emit", " csv,,", "--name", "c"]) == 0
         assert cli.main(["run", *common, "--emit", "", "--name", "none"]) == 0
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["c.csv"]
+        # an empty --checks is no --checks: `run` runs none
+        assert cli.main(["run", *common, "--checks", "", "--emit", "json", "--name", "k"]) == 0
+        assert json.loads((tmp_path / "out/k.json").read_text())["checks"] == []
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

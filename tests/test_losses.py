@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from localgd import losses
 from localgd.data import FederatedDataset, RawSample, prepare, compute_margin
-from localgd.errors import ConvergenceError
 
 from conftest import random_dataset, separable_dataset
 
@@ -193,13 +192,30 @@ class TestHessian:
         expected = (0.3**2 + 0.4**2) / 4
         assert losses.hessian_spectral_norm(ds, np.zeros(2)) == pytest.approx(expected, rel=1e-8)
 
-    def test_spectral_norm_when_the_all_ones_start_is_annihilated(self):
-        # z is orthogonal to (1, 1), so the first start vector maps to 0 and the second,
-        # e_1, finds the top eigenvalue ell''(0) * ||z||^2 = 0.25 * 0.5
-        ds = FederatedDataset(clients=[np.array([[0.5, -0.5]])], d=2)
-        assert losses.hessian_spectral_norm(ds, np.zeros(2)) == pytest.approx(0.125, rel=1e-12)
-        assert losses.client_hessian_spectral_norm(ds, 0, np.zeros(2)) == pytest.approx(
-            0.125, rel=1e-12)
+    def test_spectral_norm_of_one_zero_sum_sample_at_zero(self):
+        # each z sums to 0 and has rank-one Hessian ell''(0) z z^T at w = 0, whose top
+        # eigenvalue is 0.25 * ||z||^2
+        for z, expected in (((0.5, -0.5), 0.125), ((0, 0.5, -0.5), 0.125),
+                            ((0, 0.25, 0.5, -0.75), 0.21875)):
+            ds = FederatedDataset(clients=[np.array([z])], d=len(z))
+            w = np.zeros(len(z))
+            assert losses.hessian_spectral_norm(ds, w) == pytest.approx(expected, rel=1e-12), z
+            assert losses.client_hessian_spectral_norm(ds, 0, w) == pytest.approx(
+                expected, rel=1e-12), z
+
+    def test_spectral_norms_match_a_dense_eigendecomposition(self):
+        rng = np.random.default_rng(30)
+        for _ in range(1000):
+            d = int(rng.integers(2, 8))
+            ds = random_dataset(rng, M=int(rng.integers(1, 4)), n=int(rng.integers(1, 5)), d=d)
+            w = rng.normal(size=d) * rng.uniform(0, 4)
+            expected = np.linalg.eigvalsh(self._dense_hessian(ds, w))[-1]
+            assert losses.hessian_spectral_norm(ds, w) == pytest.approx(expected, rel=1e-12)
+            for m, Z in enumerate(ds.clients):
+                client = FederatedDataset(clients=[Z], d=d)
+                expected = np.linalg.eigvalsh(self._dense_hessian(client, w))[-1]
+                assert losses.client_hessian_spectral_norm(ds, m, w) == pytest.approx(
+                    expected, rel=1e-12)
 
     def test_spectral_norm_never_exceeds_quarter(self, rng):
         for _ in range(10):
@@ -226,9 +242,3 @@ class TestHessian:
             for m in range(ds.M):
                 hm = losses.client_hessian_spectral_norm(ds, m, w)
                 assert hm <= losses.client_value(ds, m, w) + 1e-8
-
-    def test_iteration_cap_raises_with_estimate(self, rng):
-        ds = random_dataset(rng, M=2, n=3, d=4)
-        with pytest.raises(ConvergenceError) as err:
-            losses.hessian_spectral_norm(ds, np.zeros(4), max_iter=2)
-        assert err.value.estimate is not None

@@ -58,6 +58,30 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="^stepsizes must be positive and finite"):
             RunConfig(R=10, K=2, **stepsizes)
 
+    # the counts reach the C kernels as int64, which ctypes would wrap, not refuse
+    @pytest.mark.parametrize("field, value", [
+        ("R", 0), ("R", 2**63), ("K", 0), ("K", 2**64 + 4), ("gf_substeps", 0),
+        ("gf_substeps", 2**64 + 4), ("trace_every", 0), ("trace_every", 2**63),
+        ("averaging", "mean"), ("engine", "gpu"), ("gf_method", "rk2"),
+    ])
+    def test_refuses_counts_and_options_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            RunConfig(**{"R": 10, "K": 2, field: value})
+
+    def test_counts_up_to_int64_max_are_accepted(self):
+        top = 2**63 - 1
+        assert RunConfig(R=top, K=top, gf_substeps=top, trace_every=top).K == top
+
+    @pytest.mark.parametrize("runner, options, message", [
+        (run_local_gd, dict(eta1=0.5, eta2=1.0, r0=1), "run_local_gd requires config.eta"),
+        (run_local_gf, dict(eta1=0.5, eta2=1.0, r0=1), "run_local_gf requires config.eta"),
+        (run_local_gd, dict(eta=1.0, w0=(1.0, 2.0, 3.0)), r"w0 has shape \(3,\), expected \(2,\)"),
+    ], ids=["local-gd-without-eta", "local-gf-without-eta", "w0-of-another-dimension"])
+    def test_runners_refuse_configs_they_cannot_run(self, runner, options, message):
+        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            runner(ds, RunConfig(R=2, K=1, **options))
+
 
 class TestLocalGdRound:
     def test_single_step_is_full_gd(self, rng):

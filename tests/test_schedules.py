@@ -47,6 +47,11 @@ class TestMakePolicy:
             with pytest.raises(ValueError, match="lam must be finite"):
                 make_policy("two_stage", K=4, lam=lam)
 
+    def test_refuses_a_curvature_bound_that_is_not_positive(self):
+        for H in (0.0, -0.25, math.nan):
+            with pytest.raises(ValueError, match="H must be positive"):
+                make_policy("small", K=4, H=H)
+
 
 def r0_terms(eta2, K, M, gamma):
     """Independent evaluation of the four warmup-length terms."""
