@@ -47,8 +47,11 @@ EXIT_DIVERGENCE = 2
 EXIT_VIOLATION = 3
 EXIT_IO = 4
 
-OPTIMIZERS = ("local-gd", "two-stage", "local-gf")
-POLICIES = ("small", "large", "two-stage", "explicit")
+# Each optimizer and the name of its runner in optim, looked up when a run starts, so a
+# wrapper put in place of an optim runner sees the call
+RUNNERS = {"local-gd": "run_local_gd", "two-stage": "run_two_stage", "local-gf": "run_local_gf"}
+POLICIES = tuple(kind.replace("_", "-") for kind in schedules.POLICY_KINDS)
+ARTIFACT = {"name": "localgd", "version": __version__}  # every JSON artifact's header
 
 
 class UsageError(Exception):
@@ -85,9 +88,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _comma_list(noun, convert=str, choices=None, empty_is_none=True):
+def _comma_list(noun, convert=str, choices=None, empty_is_none=True, repeats=False):
     """argparse type of a comma-separated flag: a tuple of entries through ``convert`` (None
-    if empty and ``empty_is_none``); with ``choices``, blanks are dropped and the rest checked."""
+    if empty and ``empty_is_none``); with ``choices``, blanks are dropped and the rest checked.
+    An entry equal to an earlier one after ``convert`` is refused unless ``repeats``."""
     def parse(text):
         if empty_is_none and not text:
             return None
@@ -99,6 +103,9 @@ def _comma_list(noun, convert=str, choices=None, empty_is_none=True):
         if unknown:
             raise argparse.ArgumentTypeError(
                 f"unknown {noun}(s) {', '.join(unknown)}; available: {', '.join(choices)}")
+        if not repeats and len(set(entries)) < len(entries):
+            first = next(e for i, e in enumerate(entries) if e in entries[:i])
+            raise argparse.ArgumentTypeError(f"repeated {noun} {first}")
         return entries
     return parse
 
@@ -107,9 +114,9 @@ _check_names = _comma_list("check", str.strip, diagnostics.RUN_CHECKS)
 
 
 def _count(text):
-    """argparse type of a count flag: an integer of at most optim.COUNT_MAX."""
-    if (value := int(text)) > optim.COUNT_MAX:
-        raise argparse.ArgumentTypeError("must be at most 2^63 - 1, the largest count")
+    """argparse type of a count flag: an integer in [0, optim.COUNT_MAX]."""
+    if not 0 <= (value := int(text)) <= optim.COUNT_MAX:
+        raise argparse.ArgumentTypeError("must be at least 0 and at most 2^63 - 1, the largest count")
     return value
 
 
@@ -120,11 +127,11 @@ def _fmt(x):
     return "" if x is None else f"{x:.17g}"
 
 
-def _csv_meta_line(config, fingerprint, seed):
+def _csv_meta_line(config, fingerprint):
     """One comment line carrying provenance; parsers skip lines starting '#'."""
     echo = {k: v for k, v in asdict(config).items() if v is not None}
     blob = json.dumps(echo, sort_keys=True, separators=(",", ":"))
-    return f"# localgd {__version__} seed={seed} dataset={fingerprint} config={blob}"
+    return f"# localgd {__version__} seed={config.seed} dataset={fingerprint} config={blob}"
 
 
 def _write_csv(path, traces, M, meta=None):
@@ -148,11 +155,10 @@ def _write_csv(path, traces, M, meta=None):
 def _add_run_flags(p, command, required=True):
     """`run`'s or `sweep`'s flags; required=False gives the --config finder the same ones."""
     p.add_argument("--dataset", required=required, help="dataset JSON file")
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default="local-gd")
+    p.add_argument("--optimizer", choices=tuple(RUNNERS), default="local-gd")
     p.add_argument("--policy", choices=POLICIES, default="explicit")
     p.add_argument("--R", type=_count, required=required)
     p.add_argument("--K", type=_count, default=1)
-    p.add_argument("--H", type=float, default=0.25)
     p.add_argument("--eta", type=float)
     p.add_argument("--eta1", type=float)
     p.add_argument("--eta2", type=float)
@@ -163,7 +169,7 @@ def _add_run_flags(p, command, required=True):
     p.add_argument("--gf-method", choices=optim.GF_METHODS, default="auto")
     p.add_argument("--engine", choices=optim.ENGINES, default="numpy")
     p.add_argument("--trace-every", type=_count, default=1)
-    p.add_argument("--w0", type=_comma_list("number", float),
+    p.add_argument("--w0", type=_comma_list("number", float, repeats=True),
                    help="comma-separated initial weights (default: zeros)")
     p.add_argument("--seed", type=int)
     p.add_argument("--checks", type=_check_names,
@@ -194,8 +200,8 @@ def build_parser():
     g_mn = gen_sub.add_parser("mnist")
     g_mn.add_argument("--images", required=True, help="IDX image file")
     g_mn.add_argument("--labels", required=True, help="IDX label file")
-    g_mn.add_argument("--M", type=int, default=5)
-    g_mn.add_argument("--n", type=int, default=200, help="samples per client")
+    g_mn.add_argument("--M", type=_count, default=5)
+    g_mn.add_argument("--n", type=_count, default=200, help="samples per client")
     g_mn.add_argument("--s", type=float, default=0.05, help="uniform share of each client")
     g_mn.add_argument("--seed", type=int, default=0)
     g_mn.add_argument("--out", required=True)
@@ -228,7 +234,7 @@ def _resolve_policy(args):
     """Map CLI policy flags onto concrete stepsizes for the chosen optimizer."""
     kind = args.policy.replace("-", "_")
     policy = schedules.make_policy(
-        kind, args.K, H=args.H, lam=args.lam,
+        kind, args.K, lam=args.lam,
         eta=args.eta, eta1=args.eta1, eta2=args.eta2, r0=args.r0,
     )
     if args.optimizer == "two-stage":
@@ -246,7 +252,6 @@ def _run_config(args):
         R=args.R,
         K=args.K,
         averaging=args.averaging,
-        H=args.H,
         gf_substeps=args.gf_substeps,
         gf_method=args.gf_method,
         engine=args.engine,
@@ -282,7 +287,7 @@ def _envelope_block(dataset, args, config):
 def _summary_doc(args, config, dataset, traces, diverged_at, checks, averaged):
     """The summary JSON; ``averaged`` is a finished run's averaged iterate, if it has one."""
     return {
-        "artifact": {"name": "localgd", "version": __version__},
+        "artifact": ARTIFACT,
         "command": args.command,
         "config": {
             "optimizer": args.optimizer,
@@ -304,7 +309,7 @@ def _summary_doc(args, config, dataset, traces, diverged_at, checks, averaged):
             **({} if averaged is None else {"averaged_weights": averaged}),
         },
         "envelopes": _envelope_block(dataset, args, config) if diverged_at is None else {},
-        "checks": [r.to_dict() for r in checks],
+        "checks": [asdict(r) for r in checks],
         "traces": [asdict(t) for t in traces],
     }
 
@@ -313,8 +318,7 @@ def _cmd_run(args, dataset=None):
     """Run one optimizer; ``dataset`` is ``args.dataset`` already loaded, if given."""
     dataset = dataset or load_dataset(args.dataset)
     config = _run_config(args)
-    runner = {"local-gd": optim.run_local_gd, "two-stage": optim.run_two_stage,
-              "local-gf": optim.run_local_gf}[args.optimizer]
+    runner = getattr(optim, RUNNERS[args.optimizer])
     diverged_at, checks, averaged = None, [], None
     try:
         result = runner(dataset, config)
@@ -328,7 +332,7 @@ def _cmd_run(args, dataset=None):
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(args.out_dir, args.name)
     if "csv" in args.emit:
-        meta = _csv_meta_line(config, dataset.file_fingerprint, args.seed)
+        meta = _csv_meta_line(config, dataset.file_fingerprint)
         _write_csv(base + ".csv", traces, dataset.M, meta=meta)
     if "json" in args.emit:
         write_json(base + ".json",
@@ -405,7 +409,7 @@ def _cmd_sweep(args):
             finally:
                 _init_sweep_worker(None)
     index = {
-        "artifact": {"name": "localgd", "version": __version__},
+        "artifact": ARTIFACT,
         "dataset": args.dataset,
         "grid": {"K": ks, "policy": policies},
         "cells": results,
@@ -430,7 +434,7 @@ def _cmd_gen_data(args):
         extra = {"source": {"kind": "mnist", "M": args.M, "n": args.n,
                             "n_total": spec.n_total, "s": args.s},
                  "seed": args.seed}
-    extra["artifact"] = {"name": "localgd", "version": __version__}
+    extra["artifact"] = ARTIFACT
     save_dataset(ds, args.out, extra=extra)
     print(f"wrote {args.out} (gamma={ds.margin[0]:.6g})")
     return EXIT_OK
@@ -485,10 +489,10 @@ def _cmd_check(args):
                          f"but {args.run} ran on {run_fingerprint}")
     reports = diagnostics.check_run(result, dataset, checks=args.checks)
     doc = {
-        "artifact": {"name": "localgd", "version": __version__},
+        "artifact": ARTIFACT,
         "run": str(args.run),
         "dataset_fingerprint": run_fingerprint,
-        "reports": [r.to_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
     }
     if args.out:
         write_json(args.out, doc)

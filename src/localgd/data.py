@@ -38,6 +38,7 @@ __all__ = [
 
 DATASET_FORMAT = "localgd-dataset"
 DATASET_VERSION = 1
+MARGIN_TOL = 1e-8  # compute_margin's certified duality gap
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,6 @@ class FederatedDataset:
     @property
     def M(self) -> int:
         return len(self.clients)
-
-    @property
-    def client_sizes(self) -> list[int]:
-        return [Z.shape[0] for Z in self.clients]
-
-    def all_points(self) -> np.ndarray:
-        return np.concatenate(self.clients, axis=0)
 
     @property
     def one_sample_per_client(self) -> bool:
@@ -282,7 +276,7 @@ def partition_heterogeneous(raw: list[RawSample], spec: PartitionSpec) -> Federa
     return prepare(assignments)
 
 
-def _margin_solver(Z, tol, max_iter):
+def _margin_solver(Z, max_iter):
     """Accelerated projected gradient on the dual of min ||v||^2 s.t. Zv >= 1.
 
     Maintains alpha >= 0 with v = Z^T alpha. Certifies optimality by the
@@ -349,7 +343,7 @@ def _margin_solver(Z, tol, max_iter):
                 ub = 1.0 / math.sqrt(2.0 * dual) if dual > 0.0 else math.inf
                 if lb > best[0]:
                     best = (lb, ub, w)
-                if lb > 0.0 and ub - lb <= tol:
+                if lb > 0.0 and ub - lb <= MARGIN_TOL:
                     return lb, ub, w
     lb, ub, w = best
     if lb <= 0.0:
@@ -357,29 +351,28 @@ def _margin_solver(Z, tol, max_iter):
             f"no separating direction found within {max_iter} iterations"
         )
     raise ConvergenceError(
-        f"margin not certified to {tol} within {max_iter} iterations",
+        f"margin not certified to {MARGIN_TOL} within {max_iter} iterations",
         estimate=(lb, ub),
     )
 
 
-def compute_margin(dataset: FederatedDataset, tol=1e-8, max_iter=500000):
+def compute_margin(dataset: FederatedDataset, max_iter=500000):
     """Maximum margin gamma and its unit maximizer w_star; caches on the dataset.
 
     Solved through the dual of the hard-margin program min ||v||^2 subject to
     <v, z> >= 1 for every folded point, with a duality-gap certificate at
-    tolerance ``tol``. Non-separable data raises SeparabilityError.
+    tolerance MARGIN_TOL. Non-separable data raises SeparabilityError.
     """
     if dataset.margin is not None:
         return dataset.margin
-    Z = dataset.all_points()
-    lb, _ub, w = _margin_solver(Z, tol, max_iter)
+    lb, _ub, w = _margin_solver(np.concatenate(dataset.clients), max_iter)
     result = (lb, w)
     dataset.margin = result
     return result
 
 
 def _dataset_payload(ds: FederatedDataset):
-    sizes = ds.client_sizes
+    sizes = [len(Z) for Z in ds.clients]
     if not sizes or 0 in sizes:
         raise ValueError("a dataset needs at least one client, and every client a row")
     n = sizes[0] if len(set(sizes)) == 1 else sizes

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class CheckReport:
                 (round_index, float(quantity), float(bound), float(slack))
             )
             self.passed = False
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def check_gradient_objective_bounds(dataset, weight_samples) -> CheckReport:

@@ -21,6 +21,7 @@ drift/bias data.
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, replace
 
@@ -77,7 +78,7 @@ class RunConfig:
                 raise ValueError(f"stepsizes must be positive and finite, got {value}")
         for name in ("R", "K", "gf_substeps", "trace_every"):
             if not 1 <= getattr(self, name) <= COUNT_MAX:
-                raise ValueError(f"{name} must lie in [1, 2^63 - 1], got {getattr(self, name)}")
+                raise ValueError(f"{name} must lie in [1, 2^63 - 1], got {reprlib.repr(getattr(self, name))}")
         if self.averaging not in AVERAGING_MODES:
             raise ValueError(f"averaging must be one of {AVERAGING_MODES}")
         if self.engine not in ENGINES:
@@ -196,8 +197,8 @@ def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
     return sum(finals, np.zeros_like(w_bar)) / dataset.M, drift, bias, iterate_sum
 
 
-def _round_loop(dataset, w, config, eta, step, lyap=None):
-    """Rounds 0..R from w, traced as config.trace_every says, under the divergence rule.
+def _round_loop(dataset, w, config, step, lyap=None):
+    """Rounds 0..R from w at config.eta, traced as config.trace_every says, under the divergence rule.
 
     ``step(w, rep)`` runs one round and returns (w_next, bounds); rep is w's
     ObjectiveReport if w is traced, else None, and bounds, when not None, is
@@ -220,7 +221,7 @@ def _round_loop(dataset, w, config, eta, step, lyap=None):
             traces[-1].drift, traces[-1].bias = bounds
         rep = None
         if r % config.trace_every == 0 or r == config.R:
-            rep = _append_trace(traces, dataset, w, r, eta, None if lyap is None else lyap())
+            rep = _append_trace(traces, dataset, w, r, config.eta, None if lyap is None else lyap())
     return traces, w
 
 
@@ -249,7 +250,7 @@ def run_local_gd(dataset, config: RunConfig) -> RunResult:
             avg_acc = avg_acc + iterate_sum / dataset.M
         return w_next, ((drift, bias) if collect else None)
 
-    traces, w = _round_loop(dataset, w, config, eta, step)
+    traces, w = _round_loop(dataset, w, config, step)
     averaged = avg_acc / (config.K * config.R) if uniform else None
     return RunResult(
         traces=traces,
@@ -420,7 +421,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
         def lyap():
             return (state.lyapunov, state.rho.tolist(), state.a.tolist())
 
-        traces, final = _round_loop(dataset, w, config, eta, step, lyap)
+        traces, final = _round_loop(dataset, w, config, step, lyap)
     elif n1:
         gammas, U = dataset.sample_geometry()
         rounds_traced, a_hist, C_hist, stop, err_max = gf_numeric_margin(
@@ -444,7 +445,7 @@ def run_local_gf(dataset, config: RunConfig) -> RunResult:
                 acc = acc + w_end
             return acc / M, None
 
-        traces, final = _round_loop(dataset, w, config, eta, step)
+        traces, final = _round_loop(dataset, w, config, step)
     if err_max > 1e-6:
         warnings.warn(
             f"flow integration error estimate {err_max:.3e} exceeds 1e-6; "

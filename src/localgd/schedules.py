@@ -22,7 +22,6 @@ POLICY_KINDS = ("small", "large", "two_stage", "explicit")
 class StepsizePolicy:
     """A resolved stepsize rule: either a single eta or an (eta1, eta2, r0) pair."""
 
-    kind: str
     eta: float | None = None
     eta1: float | None = None
     eta2: float | None = None
@@ -42,16 +41,15 @@ def make_policy(kind, K, H=0.25, lam=None, eta=None, eta1=None, eta2=None, r0=No
     if not H > 0:
         raise ValueError(f"H must be positive, got {H}")
     if kind == "small":
-        return StepsizePolicy(kind="small", eta=1.0 / (K * H))
+        return StepsizePolicy(eta=1.0 / (K * H))
     if kind == "large":
-        return StepsizePolicy(kind="large", eta=1.0 / H)
+        return StepsizePolicy(eta=1.0 / H)
     if kind == "two_stage":
         if lam is None:
             raise ValueError("two_stage policy requires lam")
         if not math.isfinite(lam):
             raise ValueError(f"lam must be finite, got {lam}")
         return StepsizePolicy(
-            kind="two_stage",
             eta1=1.0 / (K * H),
             eta2=1.0 / H,
             r0=int(math.floor(lam * K)),
@@ -59,7 +57,7 @@ def make_policy(kind, K, H=0.25, lam=None, eta=None, eta1=None, eta2=None, r0=No
     if kind == "explicit":
         if eta is None and (eta1 is None or eta2 is None or r0 is None):
             raise ValueError("explicit policy requires eta, or eta1+eta2+r0")
-        return StepsizePolicy(kind="explicit", eta=eta, eta1=eta1, eta2=eta2, r0=r0)
+        return StepsizePolicy(eta=eta, eta1=eta1, eta2=eta2, r0=r0)
     raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
 
 

@@ -239,6 +239,14 @@ COMMANDS = [
       "--R", "1"], {}),
     # a start of another dimension than the dataset's: exit 1
     (_run("refused", "--eta", "1", "--R", "3", "--w0=1,2,3"), {}),
+    # a negative count, and a gen-data mnist --M past 2^63 - 1, refused at parsing: exit 1
+    (_run("refused", "--eta", "1", "--R", "3", "--K", "-1" + "0" * 400), {}),
+    (["gen-data", "mnist", "--images", IMAGES, "--labels", LABELS, "--M", "1" + "0" * 400,
+      "--n", "2", "--out", "refused.json"], {}),
+    # a repeated list entry, whose sweep cells would write the same files: exit 1
+    (["sweep", "--dataset", SYN, "--eta", "1", "--R", "5", "--K-grid", "1,1",
+      "--out-dir", "sweep_repeat"], {"LOCALGD_THREADS": "2"}),
+    (_run("refused", "--eta", "1", "--R", "3", "--checks", "drift,drift"), {}),
 ]
 
 

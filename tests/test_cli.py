@@ -102,6 +102,19 @@ class TestGenData:
             "--M", "5", "--n", "8", "--n-total", "40", "--out", str(out2),
         ]) == cli.EXIT_USAGE
 
+    def test_mnist_label_file_with_bad_magic_is_format_error(self, tmp_path, capsys):
+        from test_data import write_idx_pair
+
+        img, lbl = write_idx_pair(tmp_path, np.zeros((4, 1, 2), dtype=np.uint8),
+                                  np.arange(4, dtype=np.uint8))
+        lbl.write_bytes(b"\x00\x00\x08\x03" + lbl.read_bytes()[4:])
+        code = cli.main(["gen-data", "mnist", "--images", str(img), "--labels", str(lbl),
+                         "--M", "2", "--n", "2", "--out", str(tmp_path / "mnist.json")])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {lbl}: bad magic 0x00000803 at offset 0 (expected 0x00000801)\n")
+        assert not (tmp_path / "mnist.json").exists()
+
 
 GOLDEN_RUNS = {
     "small_run": ["--optimizer", "local-gd", "--policy", "small", "--K", "4", "--R", "12"],
@@ -399,12 +412,34 @@ class TestSweep:
             assert f"argument {flag}:" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    # two cells of one name would write the same files, from two workers at once; entries
+    # are compared after conversion, so 1 and 01 repeat
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--K-grid", "1,1,2"), ("sweep", "--K-grid", "1,01"),
+        ("sweep", "--policy-grid", "explicit,explicit"), ("run", "--checks", "drift,drift"),
+        ("sweep", "--checks", "drift,bias,drift"), ("run", "--emit", "csv,json,csv"),
+    ], ids=lambda v: v.replace("--", ""))
+    def test_repeated_list_entry_is_usage_error(self, synthetic_file, tmp_path, monkeypatch,
+                                                capsys, command, flag, value):
+        monkeypatch.setenv("LOCALGD_THREADS", "2")
+        code = cli.main([command, "--dataset", str(synthetic_file), "--eta", "1", "--R", "5",
+                         flag, value, "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag}: repeated ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_a_start_may_repeat_a_value(self, synthetic_file, tmp_path):
+        assert cli.main(["run", "--dataset", str(synthetic_file), "--eta", "1", "--R", "2",
+                         "--w0=0.5,0.5", "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["config"]["w0"] == [0.5, 0.5]
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_cells_match_standalone_run(self, synthetic_file, tmp_path, monkeypatch, capsys,
                                         threads):
         monkeypatch.setenv("LOCALGD_THREADS", threads)
         flags = ["--dataset", str(synthetic_file), "--optimizer", "local-gd", "--R", "12",
-                 "--H", "0.3", "--seed", "5", "--checks", "drift,bias"]
+                 "--trace-every", "5", "--seed", "5", "--checks", "drift,bias"]
         # the explicit policy without --eta fails in each of its cells alone
         code = cli.main(["sweep", *flags, "--K-grid", "1,4", "--policy-grid", "small,large,explicit",
                          "--out-dir", str(tmp_path / "sweep")])
@@ -593,6 +628,18 @@ class TestCheckCommand:
         assert code == cli.EXIT_IO
         assert "not a run summary file" in capsys.readouterr().err
 
+    def test_summary_count_out_of_range_is_shown_abbreviated(self, synthetic_file, tmp_path,
+                                                              capsys):
+        summary = self._run(synthetic_file, tmp_path)
+        doc = json.loads(summary.read_text())
+        doc["config"]["K"] = int(HUGE)
+        summary.write_text(json.dumps(doc))
+        code = cli.main(["check", "--run", str(summary), "--dataset", str(synthetic_file)])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "K must lie in [1, 2^63 - 1], got 1000" in err and HUGE not in err
+        assert err.count("\n") == 1 and len(err) < len(str(summary)) + 150, err
+
     def test_corrupted_summary_is_format_error(self, synthetic_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"traces": "nope"}')
@@ -656,6 +703,16 @@ class TestNotApplicable:
             assert (out / "run.csv").exists()
             (report,) = json.loads((out / "run.json").read_text())["checks"]
             assert (report["name"], report["instances_checked"], report["na_count"]) == (name, 0, 6)
+
+
+    def test_drift_past_its_stepsize_range_and_lyapunov_of_local_gd(self, tmp_path):
+        # drift is judged only at eta <= 8, and local GD records no Lyapunov value
+        code = cli.main(["run", "--dataset", SYN, "--eta", "9", "--K", "1", "--R", "5",
+                         "--checks", "drift,lyapunov", "--out-dir", str(tmp_path)])
+        assert code == 0
+        reports = json.loads((tmp_path / "run.json").read_text())["checks"]
+        assert [(r["name"], r["instances_checked"], r["na_count"]) for r in reports] == [
+            ("client-drift", 0, 5), ("lyapunov-monotone", 0, 6)]
 
 
 class TestExitCodes:
@@ -725,6 +782,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{key} = [[[" in err and err.count("\n") == 1 and len(err) < 200, err
 
+    def test_margin_engine_refuses_a_zero_sample(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        save_dataset(FederatedDataset(clients=[np.array([[0.6, 0.8]]), np.array([[0.0, 0.0]])],
+                                      d=2), path)
+        code = cli.main(["run", "--dataset", str(path), "--engine", "margin", "--eta", "1",
+                         "--R", "3", "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: margin-space runs need nonzero samples\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_entry_is_format_error(self, synthetic_file, tmp_path):
         # without a fingerprint only the entry check stands between null and NaN
         doc = json.loads(synthetic_file.read_text())
@@ -750,7 +817,9 @@ class TestExitCodes:
         args.update([flag])
         assert cli.main(["envelope", "--kind", "two-stage",
                          *(t for item in args.items() for t in item)]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
+        # a negative count fails at parsing
+        prefix = "usage error: " if flag == ("--r0", "-10") else "error: "
+        assert capsys.readouterr().err.startswith(prefix)
 
     @pytest.mark.parametrize("flags", [
         ["--kind", "baseline-global", "--gamma", "1e-300", "--K", "1", "--R", "1"],
@@ -789,6 +858,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: argument --") and err.count("\n") == 1
         assert "at most 2^63 - 1" in err
+        assert not (tmp_path / "out").exists()
+
+    # a negative count, and a gen-data mnist --M or --n past 2^63 - 1, fail at parsing; the
+    # message does not repeat the number
+    @pytest.mark.parametrize("argv", [
+        ["run", "--policy", "small", "--K", "-" + HUGE],
+        ["run", "--eta", "1", "--K", "-" + HUGE],
+        ["run", "--optimizer", "two-stage", "--eta1", "1", "--eta2", "1", "--r0", "-" + HUGE],
+        ["envelope", "--kind", "baseline-global", "--gamma", "0.5", "--K", "-" + HUGE, "--R", "1"],
+        ["envelope", "--kind", "two-stage", "--gamma", "0.5", "--K", "8", "--R", "100",
+         "--eta2", "1", "--r0", "-" + HUGE],
+        ["gen-data", "mnist", "--M", HUGE, "--n", "2"],
+        ["gen-data", "mnist", "--M", "2", "--n", HUGE],
+    ], ids=["small-policy-K", "eta-K", "two-stage-r0", "baseline-global-K", "envelope-r0",
+            "mnist-M", "mnist-n"])
+    def test_count_out_of_range_is_a_short_usage_error(self, tmp_path, capsys, argv):
+        from test_data import write_idx_pair
+
+        if argv[0] == "run":
+            argv = [*argv, "--dataset", SYN, "--R", "3", "--out-dir", str(tmp_path / "out")]
+        if argv[0] == "gen-data":
+            labels = np.arange(24, dtype=np.uint8) % 10
+            img, lbl = write_idx_pair(tmp_path, np.zeros((24, 1, 2), dtype=np.uint8), labels)
+            argv = [*argv, "--images", str(img), "--labels", str(lbl),
+                    "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --") and err.count("\n") == 1
+        assert "at least 0 and at most 2^63 - 1" in err and len(err) < 100, err
         assert not (tmp_path / "out").exists()
 
     def test_envelope_gf_kind(self, synthetic_file, capsys):

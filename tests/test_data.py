@@ -52,7 +52,7 @@ class TestPrepare:
         # one division by the largest norm left this dataset's longest row
         # at 1.0000000000000002 under the row-norm formula the runs use
         ds = random_dataset(np.random.default_rng(10824567), M=3, n=1, d=2)
-        assert np.linalg.norm(ds.all_points(), axis=1).max() <= 1.0
+        assert np.linalg.norm(np.concatenate(ds.clients), axis=1).max() <= 1.0
 
     def test_idempotent(self, rng):
         raw = [(RawSample(rng.normal(size=3), int(rng.choice([-1, 1]))), m)
@@ -73,6 +73,12 @@ class TestPrepare:
             prepare([(RawSample(np.array([1.0]), 1), 0), (RawSample(np.array([1.0, 2.0]), 1), 0)])
         with pytest.raises(ValueError, match="label"):
             prepare([(RawSample(np.array([1.0]), 3), 0)])
+
+    def test_rejects_a_negative_client_id_and_all_zero_points(self):
+        with pytest.raises(ValueError, match="negative client id -1"):
+            prepare([(RawSample(np.array([1.0]), 1), -1), (RawSample(np.array([1.0]), 1), 0)])
+        with pytest.raises(ValueError, match="all points are zero"):
+            prepare([(RawSample(np.zeros(2), 1), 0), (RawSample(np.zeros(2), -1), 1)])
 
 
 class TestSynthetic:
@@ -115,7 +121,7 @@ class TestSynthetic:
 
     def test_delta_squared_past_the_float_range(self):
         ds = gen_synthetic(SyntheticSpec(delta=1e200, g=2))
-        np.testing.assert_array_equal(ds.all_points(), [[1e-200, 1.0], [-0.5e-200, 0.5]])
+        np.testing.assert_array_equal(np.concatenate(ds.clients), [[1e-200, 1.0], [-0.5e-200, 0.5]])
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -207,8 +213,8 @@ class TestPartition:
         pool = digit_pool(100)
         spec = PartitionSpec(n_total=1000, M=5, n_per_client=200, similarity_s=0.05, seed=3)
         ds = partition_heterogeneous(pool, spec)
-        assert ds.client_sizes == [200] * 5
-        assert sum(ds.client_sizes) == 1000
+        assert [len(Z) for Z in ds.clients] == [200] * 5
+        assert sum(len(Z) for Z in ds.clients) == 1000
 
     def test_deterministic(self):
         pool = digit_pool(100)
@@ -258,7 +264,7 @@ class TestPartition:
 def margin_grid_oracle(ds, step=1e-6):
     """Dense angular sweep of the unit circle (d=2 only)."""
     best = -np.inf
-    Z = ds.all_points()
+    Z = np.concatenate(ds.clients)
     thetas = np.arange(0.0, 2 * math.pi, step)
     for start in range(0, len(thetas), 1_000_000):
         block = thetas[start : start + 1_000_000]
@@ -499,7 +505,7 @@ def _oracle_bytes(ds, extra=None):
     doc = {"format": data.DATASET_FORMAT, "version": data.DATASET_VERSION,
            "fingerprint": ds.fingerprint()}
     doc.update(extra or {})
-    sizes = ds.client_sizes
+    sizes = [len(Z) for Z in ds.clients]
     doc.update({
         "d": ds.d,
         "M": ds.M,

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -260,5 +261,5 @@ class TestCheckRun:
         ds = separable_dataset(rng, M=2, n=2, d=3)
         res = run_local_gd(ds, RunConfig(R=5, K=2, eta=1.0))
         for report in diagnostics.check_run(res, ds):
-            doc = json.dumps(report.to_dict())
+            doc = json.dumps(asdict(report))
             assert report.name in doc

@@ -100,6 +100,16 @@ class TestTheoryEta1:
         assert theory_eta1(eta2, K, M, gamma) == expected
         assert expected == pytest.approx(0.015625)
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    def test_rejects_a_gamma_that_is_not_positive(self, gamma):
+        for theory in (theory_r0, theory_eta1):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                theory(1.0, 4, 2, gamma)
+
+    def test_rejects_a_negative_eta2(self):
+        with pytest.raises(ValueError, match="eta2 must be nonnegative"):
+            theory_eta1(-1.0, 4, 2, 0.5)
+
     def test_never_exceeds_small_policy(self):
         for K in (1, 8, 64):
             for gamma in (0.05, 0.3, 1.0):

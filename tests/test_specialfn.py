@@ -198,6 +198,7 @@ class TestLogPhiPastExpRange:
         (1e300, -700.0),
         (1.7976931348623157e308, -1.0),
         (1.7976931348623157e308, -700.0),
+        (2.505798262862475e231, -401.84452701200615),
     ])
     def test_finite_and_matches_arbitrary_precision(self, b, x):
         got = specialfn.log_phi(b, x)
@@ -214,8 +215,10 @@ class TestLogPhiPastExpRange:
             assert math.isfinite(specialfn.log_phi(b, x)), (b, x)
 
 
-# The solver as it was before its early exits, verbatim: the early exits must
-# leave every bit of every result unchanged.
+# The solver as it was before its early exits, verbatim but for the two
+# overflow branches it gained with them, copied from the Python body so that
+# roots past exp's range reach bisection too: the early exits must leave every
+# bit of every result unchanged.
 
 _NEWTON_STALL = 50
 
@@ -234,24 +237,35 @@ def _ref_log_phi(b: float, x: float) -> float:
     exp_branch = math.log1p(ratio) if math.isfinite(ratio) else math.log(b) - x
     L = min(b / (y + 1.0), exp_branch)
     for _ in range(_NEWTON_STALL):
-        g = y * math.expm1(L) + L - b
-        dg = y * math.exp(L) + 1.0
-        Ln = L - g / dg
+        try:
+            g = y * math.expm1(L) + L - b
+            dg = y * math.exp(L) + 1.0
+            Ln = L - g / dg
+        except OverflowError:
+            q = math.exp(-(x + L))
+            Ln = L - (1.0 + (L - b) * q) / (1.0 + q)
         if Ln < 0.0:
             Ln = L * 0.5
         if abs(Ln - L) <= 1e-16 * max(abs(Ln), 1e-300):
             return max(Ln, 0.0)
         L = Ln
-    return _ref_bisect_log_phi(b, y, L)
+    return _ref_bisect_log_phi(b, x, y, L)
 
 
-def _ref_bisect_log_phi(b, y, hint):
+def _ref_below_root(b, x, y, L):
+    try:
+        return y * math.expm1(L) + L < b
+    except OverflowError:
+        return (b - L) * math.exp(-(x + L)) > 1.0
+
+
+def _ref_bisect_log_phi(b, x, y, hint):
     lo, hi = 0.0, max(hint, 1e-300)
-    while y * math.expm1(hi) + hi < b:
+    while _ref_below_root(b, x, y, hi):
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if y * math.expm1(mid) + mid < b:
+        if _ref_below_root(b, x, y, mid):
             lo = mid
         else:
             hi = mid
@@ -269,6 +283,8 @@ LOG_PHI_TWO_CYCLES = [
 ]
 # a rarer three-cycle, which still runs all 50 Newton steps
 LOG_PHI_THREE_CYCLE = (23.030861914990297, 4.493783515760356)
+# a root past exp's range whose bisection compares past it too
+LOG_PHI_BISECTION_PAST_EXP = (2.505798262862475e231, -401.84452701200615)
 
 
 class _CountingMath:
@@ -300,7 +316,7 @@ class TestSolverEarlyExits:
                 assert specialfn.log_phi(b, x).hex() == want, backend
 
     def test_bitwise_equal_on_seeded_inputs(self, rng, c_switch):
-        inputs = [*LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE,
+        inputs = [*LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE, LOG_PHI_BISECTION_PAST_EXP,
                   *zip(10.0 ** rng.uniform(-12, 4, 20000), rng.uniform(-50, 50, 20000))]
         want = [_ref_log_phi(b, x).hex() for b, x in inputs]
         for backend in _backends():
@@ -338,7 +354,7 @@ LOG_PHI_EDGES = [
     (1e-300, 700.0), (2.5, 700.0), (2.5, -700.0),
     (1e10, -690.0), (2e4, -700.0), (1e300, -700.0), (1.7976931348623157e308, -1.0),
     (1.7976931348623157e308, -700.0), (1.7976931348623157e308, 700.0),
-    *LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE,
+    *LOG_PHI_TWO_CYCLES, LOG_PHI_THREE_CYCLE, LOG_PHI_BISECTION_PAST_EXP,
 ]
 
 
@@ -643,6 +659,11 @@ class TestTheoryConstants:
         )
         assert math.isfinite(tau)
         assert tc.tau == pytest.approx(tau, rel=1e-9)
+
+    def test_envelope_refuses_an_unknown_variant(self):
+        tc = specialfn.theory_constants(_state([1.0, 0.8], 0.5, 2.0), 2.0)
+        with pytest.raises(ValueError, match="unknown envelope variant 'cold'"):
+            tc.envelope(tc.tau + 100, variant="cold")
 
     def test_envelope_shape(self):
         state = _state([1.0, 0.8], 0.5, 2.0)
