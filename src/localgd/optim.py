@@ -198,7 +198,7 @@ def _gd_round(dataset, w_bar, rep, K, eta, collect, sums):
 
 
 def _round_loop(dataset, w, config, step, lyap=None):
-    """Rounds 0..R from w at config.eta, traced as config.trace_every says, under the divergence rule.
+    """Rounds 0..R from w, traced as config.trace_every says, under the divergence rule.
 
     ``step(w, rep)`` runs one round and returns (w_next, bounds); rep is w's
     ObjectiveReport if w is traced, else None, and bounds, when not None, is

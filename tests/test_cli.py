@@ -704,7 +704,6 @@ class TestNotApplicable:
             (report,) = json.loads((out / "run.json").read_text())["checks"]
             assert (report["name"], report["instances_checked"], report["na_count"]) == (name, 0, 6)
 
-
     def test_drift_past_its_stepsize_range_and_lyapunov_of_local_gd(self, tmp_path):
         # drift is judged only at eta <= 8, and local GD records no Lyapunov value
         code = cli.main(["run", "--dataset", SYN, "--eta", "9", "--K", "1", "--R", "5",
