@@ -127,20 +127,17 @@ def _fmt(x):
     return "" if x is None else f"{x:.17g}"
 
 
-def _csv_meta_line(config, fingerprint):
-    """One comment line carrying provenance; parsers skip lines starting '#'."""
+def _write_csv(path, traces, M, config, fingerprint):
+    """The trace CSV after one comment line carrying provenance; parsers skip lines starting '#'."""
     echo = {k: v for k, v in asdict(config).items() if v is not None}
     blob = json.dumps(echo, sort_keys=True, separators=(",", ":"))
-    return f"# localgd {__version__} seed={config.seed} dataset={fingerprint} config={blob}"
-
-
-def _write_csv(path, traces, M, meta=None):
     cols = ["r", "stage", "eta", "F"]
     cols += [f"F_{m + 1}" for m in range(M)]
     cols += ["grad_norm", "w_norm", "min_margin", "L"]
     cols += [f"rho_{m + 1}" for m in range(M)]
     cols += [f"a_{m + 1}" for m in range(M)]
-    lines = ([meta] if meta else []) + [",".join(cols)]
+    lines = [f"# localgd {__version__} seed={config.seed} dataset={fingerprint} config={blob}",
+             ",".join(cols)]
     for t in traces:
         row = [str(t.r), str(t.stage), _fmt(t.eta_used), _fmt(t.global_loss)]
         row += [_fmt(v) for v in t.client_losses]
@@ -332,8 +329,7 @@ def _cmd_run(args, dataset=None):
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(args.out_dir, args.name)
     if "csv" in args.emit:
-        meta = _csv_meta_line(config, dataset.file_fingerprint)
-        _write_csv(base + ".csv", traces, dataset.M, meta=meta)
+        _write_csv(base + ".csv", traces, dataset.M, config, dataset.file_fingerprint)
     if "json" in args.emit:
         write_json(base + ".json",
                    _summary_doc(args, config, dataset, traces, diverged_at, checks, averaged))

@@ -39,6 +39,7 @@ __all__ = [
 DATASET_FORMAT = "localgd-dataset"
 DATASET_VERSION = 1
 MARGIN_TOL = 1e-8  # compute_margin's certified duality gap
+MARGIN_MAX_ITER = 500_000  # compute_margin's iteration budget
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ class FederatedDataset:
 class SyntheticSpec:
     """Two-client, one-sample geometry: direction spread delta, norm ratio g. Its margin is
     at most min(1/g, 2*delta/((1+g)*sqrt(1+delta^2))), the second client's norm and that of
-    the clients' convex combination on the symmetry axis; below 1e-6 the solver gives up, so
-    such a geometry is refused at once."""
+    the clients' convex combination on the symmetry axis. Below 1e-6 the solver's bound
+    ||Z^T alpha|| / sum(alpha) < 1e-6 would refuse it, so such a geometry is refused at once."""
 
     delta: float
     g: float
@@ -276,7 +277,7 @@ def partition_heterogeneous(raw: list[RawSample], spec: PartitionSpec) -> Federa
     return prepare(assignments)
 
 
-def _margin_solver(Z, max_iter):
+def _margin_solver(Z):
     """Accelerated projected gradient on the dual of min ||v||^2 s.t. Zv >= 1.
 
     Maintains alpha >= 0 with v = Z^T alpha. Certifies optimality by the
@@ -304,7 +305,7 @@ def _margin_solver(Z, max_iter):
     t_mom = 1.0
     best = (-math.inf, math.inf, None)  # lb, ub, w
     dual_prev = -math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MARGIN_MAX_ITER + 1):
         grad = gram_mv(y) - 1.0
         alpha_next = np.maximum(y - step * grad, 0.0)
         # momentum restart keeps the iteration monotone enough to certify
@@ -316,7 +317,7 @@ def _margin_solver(Z, max_iter):
             y = alpha_next + ((t_mom - 1.0) / t_next) * (alpha_next - alpha)
         alpha, t_mom = alpha_next, t_next
 
-        if it % 25 == 0 or it == max_iter:
+        if it % 25 == 0 or it == MARGIN_MAX_ITER:
             vvec = Z.T @ alpha
             vnorm = float(np.linalg.norm(vvec))
             alpha_sum = float(alpha.sum())
@@ -331,11 +332,11 @@ def _margin_solver(Z, max_iter):
                 t_mom = 1.0
                 dual_prev = dual
             dual_prev = max(dual_prev, dual)
-            # the optimal multipliers sum to 1/gamma^2, so this cap only
-            # fires when any margin would be below 1e-6
-            if alpha_sum > 1e12:
+            # min_i <w, z_i> <= <w, Z^T alpha> / sum(alpha) <= vnorm / alpha_sum
+            # for every unit w, so below 1e-6 no margin reaches 1e-6
+            if vnorm < 1e-6 * alpha_sum:
                 raise SeparabilityError(
-                    "dual diverged; no separating direction with margin above 1e-6"
+                    "no separating direction with margin above 1e-6 (||Z^T alpha|| / sum(alpha) < 1e-6)"
                 )
             if vnorm > 0.0:
                 w = vvec / vnorm
@@ -348,15 +349,15 @@ def _margin_solver(Z, max_iter):
     lb, ub, w = best
     if lb <= 0.0:
         raise SeparabilityError(
-            f"no separating direction found within {max_iter} iterations"
+            f"no separating direction found within {MARGIN_MAX_ITER} iterations"
         )
     raise ConvergenceError(
-        f"margin not certified to {MARGIN_TOL} within {max_iter} iterations",
+        f"margin not certified to {MARGIN_TOL} within {MARGIN_MAX_ITER} iterations",
         estimate=(lb, ub),
     )
 
 
-def compute_margin(dataset: FederatedDataset, max_iter=500000):
+def compute_margin(dataset: FederatedDataset):
     """Maximum margin gamma and its unit maximizer w_star; caches on the dataset.
 
     Solved through the dual of the hard-margin program min ||v||^2 subject to
@@ -365,7 +366,7 @@ def compute_margin(dataset: FederatedDataset, max_iter=500000):
     """
     if dataset.margin is not None:
         return dataset.margin
-    lb, _ub, w = _margin_solver(np.concatenate(dataset.clients), max_iter)
+    lb, _ub, w = _margin_solver(np.concatenate(dataset.clients))
     result = (lb, w)
     dataset.margin = result
     return result

@@ -22,7 +22,6 @@ __all__ = [
     "client_value",
     "client_gradient",
     "min_margin",
-    "hessian_vector_product",
     "hessian_spectral_norm",
     "client_hessian_spectral_norm",
 ]
@@ -69,10 +68,10 @@ class ObjectiveReport:
     min_margin: float
 
 
-def _check_dim(dataset, w, name="w"):
+def _check_dim(dataset, w):
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (dataset.d,):
-        raise ValueError(f"{name} has shape {w.shape}, expected ({dataset.d},)")
+        raise ValueError(f"w has shape {w.shape}, expected ({dataset.d},)")
     return w
 
 
@@ -129,14 +128,6 @@ def _hessian_rows(clients, w):
     M ``clients``, so that the mean of their Hessians at w is A^T A."""
     return np.concatenate([Z * np.sqrt(ell_double_prime(Z @ w) / (len(clients) * len(Z)))[:, None]
                            for Z in clients])
-
-
-def hessian_vector_product(dataset, w, v):
-    """Product of the global Hessian at w with a vector v, without forming the d x d matrix."""
-    w = _check_dim(dataset, w)
-    v = _check_dim(dataset, v, name="v")
-    A = _hessian_rows(dataset.clients, w)
-    return A.T @ (A @ v)
 
 
 def hessian_spectral_norm(dataset, w):

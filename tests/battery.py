@@ -34,6 +34,8 @@ MANIFEST = DATA_DIR / "battery.json"
 SYN = "golden_synthetic.json"
 MULTI = "golden_multi_sample.json"
 IMAGES, LABELS = "images-idx3-ubyte", "labels-idx1-ubyte"
+# an IDX pair whose split is not separable and whose folded points do not sum to zero
+NONSEP_IMAGES, NONSEP_LABELS = "nonsep-images-idx3-ubyte", "nonsep-labels-idx1-ubyte"
 # SYN with the first client's row removed, unsigned so that the empty client, not the fingerprint,
 # is what load_dataset refuses
 EMPTY_CLIENT = "empty_client.json"
@@ -247,6 +249,9 @@ COMMANDS = [
     (["sweep", "--dataset", SYN, "--eta", "1", "--R", "5", "--K-grid", "1,1",
       "--out-dir", "sweep_repeat"], {"LOCALGD_THREADS": "2"}),
     (_run("refused", "--eta", "1", "--R", "3", "--checks", "drift,drift"), {}),
+    # a non-separable split: the margin solver's bound refuses it at once (exit 1)
+    (["gen-data", "mnist", "--images", NONSEP_IMAGES, "--labels", NONSEP_LABELS, "--M", "2",
+      "--n", "2", "--s", "0.5", "--seed", "1", "--out", "refused.json"], {}),
 ]
 
 
@@ -282,16 +287,29 @@ def run_command(argv, env, root):
     return code, artifacts
 
 
+def _idx_bytes(pixels, labels):
+    """IDX image and label bytes of 1 x 2 images with these ``pixels`` and ``labels``."""
+    n = len(labels)
+    return (struct.pack(">IIII", 0x803, n, 1, 2) + bytes(pixels),
+            struct.pack(">II", 0x801, n) + bytes(labels))
+
+
 def _idx_pair(n=24):
-    """IDX image and label bytes of ``n`` 1 x 2 images of digits 0-9: an even digit's
-    first pixel is the brighter, an odd digit's the second, so the split is separable."""
+    """IDX bytes of ``n`` images of digits 0-9: an even digit's first pixel is the brighter,
+    an odd digit's the second, so the split is separable."""
     labels = [k % 10 for k in range(n)]
     pixels = []
     for k, digit in enumerate(labels):
         bright, dim = 150 + 7 * k % 100, 11 * k % 120
         pixels += (bright, dim) if digit % 2 == 0 else (dim, bright)
-    return (struct.pack(">IIII", 0x803, n, 1, 2) + bytes(pixels),
-            struct.pack(">II", 0x801, n) + bytes(labels))
+    return _idx_bytes(pixels, labels)
+
+
+def _nonseparable_idx_pair():
+    """IDX bytes of four images: a 0 and a 1 with the same pixels, whose folded points are
+    opposite, so no split of them is separable; with a 2 and a 3 the folded points sum to
+    (70, -100) / 255."""
+    return _idx_bytes([200, 10, 200, 10, 100, 50, 30, 150], [0, 1, 2, 3])
 
 
 def prepare(root):
@@ -301,7 +319,8 @@ def prepare(root):
         shutil.copyfile(DATA_DIR / name, root / name)
     for name, entries in CONFIGS.items():
         (root / name).write_text(json.dumps(entries))
-    for name, data in zip((IMAGES, LABELS), _idx_pair()):
+    for name, data in zip((IMAGES, LABELS, NONSEP_IMAGES, NONSEP_LABELS),
+                          _idx_pair() + _nonseparable_idx_pair()):
         (root / name).write_bytes(data)
     doc = json.loads((DATA_DIR / SYN).read_text())
     del doc["fingerprint"]

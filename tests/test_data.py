@@ -25,6 +25,8 @@ from localgd.data import (
 )
 from localgd.errors import IdxFormatError, SeparabilityError
 
+from conftest import random_dataset
+
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
@@ -47,8 +49,6 @@ class TestPrepare:
         assert abs(norms.max() - 1.0) <= 1e-12
 
     def test_max_norm_at_most_one_under_row_norms(self):
-        from conftest import random_dataset
-
         # one division by the largest norm left this dataset's longest row
         # at 1.0000000000000002 under the row-norm formula the runs use
         ds = random_dataset(np.random.default_rng(10824567), M=3, n=1, d=2)
@@ -321,6 +321,25 @@ class TestMargin:
         with pytest.raises(SeparabilityError):
             compute_margin(ds)
 
+    @pytest.mark.parametrize("make, budget, match", [
+        # non-separable: ||Z^T alpha|| / sum(alpha) bounds every margin and falls below 1e-6
+        # within 2000 iterations
+        (lambda: [[1.0, 0.0], [-0.9, 0.0]], 2000, r"sum\(alpha\) < 1e-6"),
+        (lambda: [[1.0, 0.0], [-1.0, 0.1], [-1.0, -0.1]], 2000, r"sum\(alpha\) < 1e-6"),
+        (lambda: random_dataset(np.random.default_rng(5), M=2, n=200, d=20), 2000,
+         r"sum\(alpha\) < 1e-6"),
+        # separable, but no iterate separates within a budget this small
+        (lambda: [[1.0, 0.0], [-0.9, 0.01]], 25,
+         "no separating direction found within 25 iterations"),
+    ], ids=["two-points", "three-points", "random-labels", "budget-spent"])
+    def test_refusals(self, monkeypatch, make, budget, match):
+        ds = make()
+        if isinstance(ds, list):
+            ds = FederatedDataset(clients=[np.array(ds)], d=2)
+        monkeypatch.setattr(data, "MARGIN_MAX_ITER", budget)
+        with pytest.raises(SeparabilityError, match=match):
+            compute_margin(ds)
+
     @staticmethod
     def _two_clients(g1, g2, c):
         """flow_lyapunov's geometry, with the closed-form margin 1/sqrt(1^T G^-1 1) of c < 0."""
@@ -337,22 +356,24 @@ class TestMargin:
         assert gamma == pytest.approx(closed, abs=1e-8)
         assert closed == pytest.approx(0.0554194, abs=1e-7)
 
-    def test_near_antipodal_sweep_certifies_quickly(self):
+    def test_near_antipodal_sweep_certifies_quickly(self, monkeypatch):
         # each draw certifies within 450 iterations; the stalled step never does
+        monkeypatch.setattr(data, "MARGIN_MAX_ITER", 2000)
         rng = np.random.Generator(np.random.PCG64(1))
         for _ in range(300):
             g1, g2 = rng.uniform(0.1, 1.0, size=2)
             ds, closed = self._two_clients(g1, g2, float(rng.uniform(-0.99, -0.9)))
-            gamma, _ = compute_margin(ds, max_iter=2000)
+            gamma, _ = compute_margin(ds)
             assert gamma == pytest.approx(closed, abs=1e-8)
 
-    def test_exhausted_budget_reports_estimate(self, rng):
+    def test_exhausted_budget_reports_estimate(self, rng, monkeypatch):
         from localgd.errors import ConvergenceError
         from conftest import separable_dataset
 
         ds = separable_dataset(rng, M=2, n=10, d=6, offset=0.05)
+        monkeypatch.setattr(data, "MARGIN_MAX_ITER", 30)
         with pytest.raises(ConvergenceError) as err:
-            compute_margin(ds, max_iter=30)
+            compute_margin(ds)
         lb, ub = err.value.estimate
         assert 0 < lb <= ub
 
@@ -608,6 +629,14 @@ class TestDatasetBytes:
             assert load_dataset(path).fingerprint() == ds.fingerprint()
         # no memo outlives its load, so the second load parses every token again
         assert sorted(parsed) == sorted(["0.5", "-0.0", "0.0", "0.25"] * 2)
+
+    @pytest.mark.parametrize("value", [{0.5}, np.arange(2), object()],
+                             ids=["set", "int-array", "object"])
+    def test_write_json_refuses_what_json_cannot_encode(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            data.write_json(path, {"x": [1.0, value]})
+        assert not path.exists()
 
     def test_golden_multi_sample_rewrites_itself(self, tmp_path):
         golden = DATA_DIR / "golden_multi_sample.json"

@@ -510,6 +510,18 @@ class TestDivergenceRule:
             for t in traces:
                 assert all(map(math.isfinite, _numbers(t))), t
 
+    @pytest.mark.parametrize("lyap", [(math.inf, [0.5, 0.5], [0.0, 0.0]),
+                                      (0.5, [0.5, math.nan], [0.0, 0.0]),
+                                      (0.5, [0.5, 0.5], [-math.inf, 0.0])])
+    def test_a_non_finite_trace_field_is_refused(self, lyap):
+        # the rule's last clause, called directly: no run input is known to reach it, since
+        # the ||w_r||^2 check and the kernels' rule stop a run before a trace field overflows
+        ds = gen_synthetic(SyntheticSpec(delta=0.1, g=5))
+        traces = []
+        with pytest.raises(DivergenceError) as err:
+            optim._append_trace(traces, ds, np.zeros(2), 3, 1.0, lyap)
+        assert (err.value.round_index, err.value.traces) == (3, [])
+
     def test_drift_near_overflow_is_finite(self):
         # at eta = 5e154 round 0's client displacement has a finite norm, ~2.5e154,
         # whose square overflows; drift falls back to hypot instead of reading inf

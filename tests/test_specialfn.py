@@ -521,6 +521,10 @@ class TestGfRound:
         with pytest.raises(ValueError, match="positive"):
             _state([0.5, gamma], 0.3, 1.0)
 
+    def test_state_refuses_directions_of_another_client_count(self):
+        with pytest.raises(ValueError, match="client count"):
+            specialfn.make_gf_state(np.array([0.5, 0.5]), np.array([[1.0, 0.0]]), 1.0)
+
     def test_single_client_reduces_to_flow(self):
         state = specialfn.make_gf_state(
             np.array([1.0]), np.array([[1.0, 0.0]]), math.e
@@ -638,6 +642,12 @@ class TestTheoryConstants:
         state = _state([0.5, 0.5], -1.0, 1.0)
         with pytest.raises(DegenerateGeometryError):
             specialfn.theory_constants(state, 1.0)
+
+    @pytest.mark.parametrize("etaK", [0.0, -1.0, -math.inf])
+    def test_etaK_that_is_not_positive_rejected(self, etaK):
+        state = _state([0.5, 0.8], 0.3, 1.0)
+        with pytest.raises(ValueError, match="etaK must be positive"):
+            specialfn.theory_constants(state, etaK)
 
     def test_underflowing_surrogate_scale_rejected(self):
         # etaK*gamma^2 = 1e-325 rounds to 0, so H0 = 0 and 1/H0 is undefined
