@@ -227,6 +227,7 @@ double localgd_log_phi(double b, double x)
     double ratio = b / y;
     double exp_branch = isfinite(ratio) ? log1p(ratio) : log(b) - x;
     double linear = b / (y + 1.0);
+    /* Newton from above the root, which no step passes (see _log_phi) */
     double L = exp_branch < linear ? exp_branch : linear;
     double L_prev = NAN;
     for (int i = 0; i < NEWTON_STALL; i++) {
@@ -242,8 +243,6 @@ double localgd_log_phi(double b, double x)
             double dg = y * e + 1.0;
             Ln = L - g / dg;
         }
-        if (Ln < 0.0)
-            Ln = L * 0.5;
         double scale = 1e-300 > fabs(Ln) ? 1e-300 : fabs(Ln);
         if (fabs(Ln - L) <= 1e-16 * scale)
             return 0.0 > Ln ? 0.0 : Ln;

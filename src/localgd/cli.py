@@ -50,7 +50,7 @@ EXIT_IO = 4
 # Each optimizer and the name of its runner in optim, looked up when a run starts, so a
 # wrapper put in place of an optim runner sees the call
 RUNNERS = {"local-gd": "run_local_gd", "two-stage": "run_two_stage", "local-gf": "run_local_gf"}
-POLICIES = tuple(kind.replace("_", "-") for kind in schedules.POLICY_KINDS)
+POLICIES = (*(kind.replace("_", "-") for kind in schedules.POLICY_KINDS), "explicit")
 ARTIFACT = {"name": "localgd", "version": __version__}  # every JSON artifact's header
 
 
@@ -174,9 +174,10 @@ def _add_run_flags(p, command, required=True):
     p.add_argument("--emit", type=_comma_list("artifact", str.strip, ("csv", "json"), empty_is_none=False),
                    default="csv,json", help="artifacts to write (csv,json)")
     p.add_argument("--out-dir", required=required)
-    p.add_argument("--name", default="run", help="basename for output files")
     p.add_argument("--config", help="JSON file with defaults for these flags")
-    if command == "sweep":
+    if command == "run":
+        p.add_argument("--name", default="run", help="basename for output files")
+    else:
         p.add_argument("--K-grid", type=_comma_list("integer", _count, empty_is_none=False),
                        help="comma-separated K values (overrides --K)")
         p.add_argument("--policy-grid", type=_comma_list("policy", str.strip, POLICIES),
@@ -227,36 +228,14 @@ def build_parser():
     return parser
 
 
-def _resolve_policy(args):
-    """Map CLI policy flags onto concrete stepsizes for the chosen optimizer."""
-    kind = args.policy.replace("-", "_")
-    policy = schedules.make_policy(
-        kind, args.K, lam=args.lam,
-        eta=args.eta, eta1=args.eta1, eta2=args.eta2, r0=args.r0,
-    )
-    if args.optimizer == "two-stage":
-        if policy.eta1 is None or policy.eta2 is None or policy.r0 is None:
-            raise UsageError("two-stage runs need eta1, eta2 and r0 (or --policy two-stage --lambda)")
-        return {"eta1": policy.eta1, "eta2": policy.eta2, "r0": policy.r0}
-    if policy.eta is None:
-        raise UsageError(f"optimizer {args.optimizer} needs a single stepsize policy")
-    return {"eta": policy.eta}
-
-
 def _run_config(args):
-    stepsizes = _resolve_policy(args)
-    return RunConfig(
-        R=args.R,
-        K=args.K,
-        averaging=args.averaging,
-        gf_substeps=args.gf_substeps,
-        gf_method=args.gf_method,
-        engine=args.engine,
-        trace_every=args.trace_every,
-        w0=args.w0,
-        seed=args.seed,
-        **stepsizes,
-    )
+    """The run's RunConfig from the run flags, each named as its field. Under --policy explicit
+    the stepsize flags go in as given, else the named policy's stepsizes replace them; the
+    runner refuses a run that lacks one it reads."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    if args.policy != "explicit":
+        values.update(asdict(schedules.make_policy(args.policy.replace("-", "_"), args.K, lam=args.lam)))
+    return RunConfig(**values)
 
 
 def _envelope_block(dataset, args, config):
@@ -353,11 +332,17 @@ def _init_sweep_worker(dataset):
 
 
 def _sweep_cell(args):
-    """Run one sweep cell (a `run` Namespace) on the shared dataset; return its index entry."""
+    """Run one sweep cell (a `run` Namespace) on the shared dataset; return its index entry,
+    which names the artifacts the cell wrote."""
     name = args.name
     try:
         code = _cmd_run(args, dataset=_sweep_dataset)
-        return {"name": name, "exit": code, "csv": name + ".csv", "summary": name + ".json"}
+        entry = {"name": name, "exit": code}
+        if "csv" in args.emit:
+            entry["csv"] = name + ".csv"
+        if "json" in args.emit:
+            entry["summary"] = name + ".json"
+        return entry
     except tuple(EXIT_CODES) as err:
         return {"name": name, "exit": _exit_code(err), "error": str(err)}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 __all__ = ["StepsizePolicy", "make_policy", "theory_r0", "theory_eta1"]
 
-POLICY_KINDS = ("small", "large", "two_stage", "explicit")
+POLICY_KINDS = ("small", "large", "two_stage")
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,12 @@ class StepsizePolicy:
     r0: int | None = None
 
 
-def make_policy(kind, K, H=0.25, lam=None, eta=None, eta1=None, eta2=None, r0=None):
+def make_policy(kind, K, H=0.25, lam=None):
     """Resolve a policy name into concrete stepsizes.
 
     small  -> eta = 1/(K*H)
     large  -> eta = 1/H
     two_stage -> eta1 = 1/(K*H), eta2 = 1/H, r0 = floor(lam*K) (lam required)
-    explicit -> caller-supplied eta (or eta1/eta2/r0)
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -54,10 +53,6 @@ def make_policy(kind, K, H=0.25, lam=None, eta=None, eta1=None, eta2=None, r0=No
             eta2=1.0 / H,
             r0=int(math.floor(lam * K)),
         )
-    if kind == "explicit":
-        if eta is None and (eta1 is None or eta2 is None or r0 is None):
-            raise ValueError("explicit policy requires eta, or eta1+eta2+r0")
-        return StepsizePolicy(eta=eta, eta1=eta1, eta2=eta2, r0=r0)
     raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
 
 

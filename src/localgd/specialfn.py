@@ -101,7 +101,9 @@ def _log_phi(b, x):
     # Newton on g(L) = y*expm1(L) + L - b; g is convex and increasing, and
     # both b/(y+1) (linearization) and log1p(b/y) (exponential branch) sit at
     # or above the root, so starting from their minimum keeps the iteration
-    # monotone from above and within a few steps of the root.
+    # monotone from above and within a few steps of the root. No step goes
+    # below 0: each stays above the root, which is positive for b > 0, and the
+    # past-exp step moves L by less than 1 where L > 709.
     ratio = b / y
     exp_branch = math.log1p(ratio) if math.isfinite(ratio) else math.log(b) - x
     L = min(b / (y + 1.0), exp_branch)
@@ -116,8 +118,6 @@ def _log_phi(b, x):
             # a factor 1 - e^-L: take the step with g and dg divided by it
             q = math.exp(-(x + L))
             Ln = L - (1.0 + (L - b) * q) / (1.0 + q)
-        if Ln < 0.0:
-            Ln = L * 0.5
         if abs(Ln - L) <= 1e-16 * max(abs(Ln), 1e-300):
             return max(Ln, 0.0)
         if Ln == L_prev:
@@ -277,7 +277,7 @@ def theory_constants(state: GfState, etaK: float) -> TheoryConstants:
     c = float(state.gram[0, 1])
     if c <= -1.0:
         raise DegenerateGeometryError(f"antipodal client directions (c={c})")
-    if etaK <= 0.0:
+    if not etaK > 0.0:
         raise ValueError(f"etaK must be positive, got {etaK}")
     g1, g2 = float(state.gammas[0]), float(state.gammas[1])
     gmin, gmax = min(g1, g2), max(g1, g2)

@@ -252,6 +252,14 @@ COMMANDS = [
     # a non-separable split: the margin solver's bound refuses it at once (exit 1)
     (["gen-data", "mnist", "--images", NONSEP_IMAGES, "--labels", NONSEP_LABELS, "--M", "2",
       "--n", "2", "--s", "0.5", "--seed", "1", "--out", "refused.json"], {}),
+    # under --policy explicit a stepsize given is checked though local GD does not read it: exit 1
+    (_run("refused", "--eta", "1", "--eta1", "-1", "--R", "3"), {}),
+    # a sweep that emits only summaries, whose index names no CSV
+    (["sweep", "--dataset", SYN, "--eta", "1", "--R", "3", "--K-grid", "1,2", "--emit", "json",
+      "--out-dir", "sweep_json"], {"LOCALGD_THREADS": "1"}),
+    # a sweep names its cells itself and has no --name: exit 1
+    (["sweep", "--dataset", SYN, "--eta", "1", "--R", "3", "--name", "x",
+      "--out-dir", "sweep_name"], {}),
 ]
 
 

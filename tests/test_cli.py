@@ -462,6 +462,65 @@ class TestSweep:
                     assert ((tmp_path / "sweep" / (name + ext)).read_bytes()
                             == (tmp_path / "run" / (name + ext)).read_bytes())
 
+    # a named policy reads no stepsize flag; under --policy explicit every stepsize given goes
+    # into the config, and the runner refuses a run that lacks one it reads, in a sweep cell too
+    @pytest.mark.parametrize("flags, policy, outcome", [
+        (["--eta", "1", "--eta1", "-1"], "explicit", "stepsizes must be positive and finite, got -1.0"),
+        (["--optimizer", "two-stage", "--eta", "1"], "explicit",
+         "run_two_stage requires config.eta1, eta2 and r0"),
+        (["--eta", "2"], "small", {"eta": 1.0, "eta1": None, "eta2": None, "r0": None}),
+        (["--optimizer", "two-stage", "--lambda", "2", "--eta", "2", "--eta1", "3"], "two-stage",
+         {"eta": None, "eta1": 1.0, "eta2": 4.0, "r0": 8}),
+    ], ids=["unread-eta1", "two-stage-eta-only", "small", "two-stage"])
+    def test_stepsizes_come_from_the_policy_or_the_flags(self, synthetic_file, tmp_path,
+                                                         monkeypatch, capsys, flags, policy, outcome):
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        common = ["--dataset", str(synthetic_file), "--K", "4", "--R", "12", *flags]
+        run_code = cli.main(["run", *common, "--policy", policy, "--out-dir", str(tmp_path / "run")])
+        run_error = capsys.readouterr().err
+        assert cli.main(["sweep", *common, "--policy-grid", policy,
+                         "--out-dir", str(tmp_path / "sweep")]) == run_code
+        [cell] = json.loads((tmp_path / "sweep/index.json").read_text())["cells"]
+        assert cell["exit"] == run_code
+        if isinstance(outcome, str):
+            assert run_code == cli.EXIT_USAGE
+            assert run_error == f"error: {outcome}\n"
+            assert cell["error"] == outcome
+            assert not (tmp_path / "run").exists()
+        else:
+            assert run_code == cli.EXIT_OK
+            summary = (tmp_path / "run/run.json").read_bytes()
+            assert (tmp_path / "sweep" / cell["summary"]).read_bytes() == summary
+            config = json.loads(summary)["config"]
+            assert {key: config[key] for key in outcome} == outcome
+
+    @pytest.mark.parametrize("emit, names", [
+        ("csv,json", ["csv", "summary"]), ("json", ["summary"]), ("csv", ["csv"]), ("", []),
+    ], ids=["default", "json", "csv", "none"])
+    def test_index_names_only_the_emitted_artifacts(self, synthetic_file, tmp_path, monkeypatch,
+                                                   emit, names):
+        monkeypatch.setenv("LOCALGD_THREADS", "1")
+        assert cli.main(["sweep", "--dataset", str(synthetic_file), "--eta", "1", "--R", "3", "--K-grid",
+                         "1,2", f"--emit={emit}", "--out-dir", str(tmp_path / "out")]) == 0
+        cells = json.loads((tmp_path / "out/index.json").read_text())["cells"]
+        assert [sorted(c) for c in cells] == [sorted(["name", "exit", *names])] * 2
+        written = {c[key] for c in cells for key in names}
+        assert written == {p.name for p in (tmp_path / "out").iterdir()} - {"index.json"}
+
+    def test_sweep_has_no_name(self, synthetic_file, tmp_path, capsys):
+        # cells are always named cell_K<K>_<policy>, so a sweep refuses a name, as a flag or
+        # as a config entry
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"name": "foo"}))
+        common = ["--dataset", str(synthetic_file), "--eta", "1", "--R", "3",
+                  "--out-dir", str(tmp_path / "out")]
+        for form in (["--name", "foo"], ["--config", str(cfg)]):
+            assert cli.main(["sweep", *common, *form]) == cli.EXIT_USAGE, form
+            assert "unrecognized arguments: --name" in capsys.readouterr().err, form
+            assert not (tmp_path / "out").exists()
+        assert cli.main(["run", *common, "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["foo.csv", "foo.json"]
+
     def test_serial_sweep_loads_dataset_once(self, synthetic_file, tmp_path, monkeypatch):
         calls = []
         load = cli.load_dataset

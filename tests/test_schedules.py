@@ -32,15 +32,11 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="lam"):
             make_policy("two_stage", K=4)
 
-    def test_explicit(self):
-        p = make_policy("explicit", K=4, eta=0.3)
-        assert p.eta == 0.3
-        with pytest.raises(ValueError):
-            make_policy("explicit", K=4)
-
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            make_policy("cosine", K=4)
+        # explicit stepsizes are the CLI's flags as given, not a policy
+        for kind in ("cosine", "explicit"):
+            with pytest.raises(ValueError, match="unknown policy"):
+                make_policy(kind, K=4)
 
     def test_two_stage_refuses_a_lambda_that_is_not_finite(self):
         for lam in (math.inf, -math.inf, math.nan):

@@ -643,7 +643,7 @@ class TestTheoryConstants:
         with pytest.raises(DegenerateGeometryError):
             specialfn.theory_constants(state, 1.0)
 
-    @pytest.mark.parametrize("etaK", [0.0, -1.0, -math.inf])
+    @pytest.mark.parametrize("etaK", [0.0, -1.0, -math.inf, math.nan])
     def test_etaK_that_is_not_positive_rejected(self, etaK):
         state = _state([0.5, 0.8], 0.3, 1.0)
         with pytest.raises(ValueError, match="etaK must be positive"):
